@@ -2,8 +2,9 @@
 
 Runs every built-in adversary strategy at each beta and prints mean
 rounds, source sends, and target receives next to the resampling
-prediction 1/(1 - 7*beta).  Useful for eyeballing how far the simulator
-sits from the analytic ceiling before trusting a new strategy.
+prediction expected_resamples(beta) = 1/(1 - beta).  Useful for eyeballing
+how far the simulator sits from the analytic ceiling before trusting a new
+strategy.
 
     python3 scripts/beta_sweep.py --n 200 --trials 100
     python3 scripts/beta_sweep.py --betas 0,0.02,0.05,0.0833 --strategies random_mix
@@ -36,11 +37,11 @@ def main() -> None:
         strategies = args.strategies.split(",")
 
     print(f"path n={args.n}, {args.trials} seeds per cell")
-    header = f"{'beta':>7} {'strategy':<16} {'rounds':>8} {'sends':>7} {'recvs':>7} {'1/(1-7b)':>9}"
+    header = f"{'beta':>7} {'strategy':<16} {'rounds':>8} {'sends':>7} {'recvs':>7} {'1/(1-b)':>9}"
     print(header)
     print("-" * len(header))
     for beta in betas:
-        pred = expected_resamples(beta) if beta < 1 / 7 else float("inf")
+        pred = expected_resamples(beta)
         for strat in strategies:
             cfg = ExperimentConfig(
                 app="path", n=args.n, beta=beta, strategy=strat,

@@ -26,11 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import builtin_strategies, make_strategy
-from .matmul import MatmulApp, load_instance, make_matmul_app, random_instance
+from .matmul import MatmulApp, load_instance, make_matmul_app
+from .matmul import _validate_params as _validate_matmul
 from .mergesort import MergesortApp, make_mergesort_app, read_values
+from .mergesort import _validate_params as _validate_mergesort
 from .protocol import Engine, FlagApp
 from .rngs import TrialRngs
-from .taskgraph import TaskGraph, build_path, random_leveled_dag
+from .taskgraph import _validate_dag, _validate_path, build_path, random_leveled_dag
 from .verify import f_matmul
 
 APPS = ("path", "dag", "matmul", "mergesort")
@@ -118,7 +120,16 @@ class ExperimentConfig:
             raise ValueError(f"c must be positive, got {self.c}")
         if self.round_cap is not None and self.round_cap < 1:
             raise ValueError(f"round_cap must be >= 1, got {self.round_cap}")
-        if self.app == "matmul":
+        # app shape rules, checked by the same functions the builders call;
+        # an input file replaces m and its contents are checked here too
+        if self.app == "path":
+            _validate_path(self.n)
+        elif self.app == "dag":
+            _validate_dag(self.m, self.n)
+        elif self.app == "mergesort":
+            m = len(read_values(self.input_path)) if self.input_path else self.m
+            _validate_mergesort(m, self.n)
+        elif self.app == "matmul":
             k = math.isqrt(self.n)
             if k * k != self.n:
                 raise ValueError(f"matmul needs n=k^2, got n={self.n}")
@@ -131,6 +142,10 @@ class ExperimentConfig:
                     f"matmul needs beta + 2^-tau <= 1/8, got "
                     f"{self.beta + 2.0 ** (-self.tau):.4f}"
                 )
+            if self.input_path:
+                load_instance(self.input_path)
+            else:
+                _validate_matmul(self.m, k)
         for name in self.ceilings:
             stat, _, metric = name.partition("_")
             if stat not in ("mean", "max", "p99") or not metric:

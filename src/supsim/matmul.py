@@ -24,7 +24,7 @@ import numpy as np
 from .metrics import Metrics
 from .protocol import Done, Reject, Silent, SupervisorState
 from .rngs import INSTANCE, stream as rng_stream
-from .taskgraph import GraphBuilder, TaskGraph, TaskKind
+from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2
 from .verify import (
     MODULUS,
     digest,
@@ -39,8 +39,20 @@ _MAGIC = b"SUPMM01\n"
 _DONE_PLAIN = Done(None)
 
 
-def _is_pow2(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
+def _validate_k(k: int) -> None:
+    if not _is_pow2(k) or k < 2:
+        raise ValueError(f"k must be a power of two >= 2, got {k}")
+
+
+def _validate_params(m: int, k: int) -> None:
+    """Shape rules for m x m matrices cut into k x k blocks."""
+    _validate_k(k)
+    if m % k != 0:
+        raise ValueError(f"k={k} must divide m={m}")
+    if m < k * math.ceil(math.log2(k * k)):
+        raise ValueError(
+            f"m={m} too small for k={k}: need m >= k*ceil(log2(k^2))"
+        )
 
 
 @dataclass(frozen=True)
@@ -67,16 +79,7 @@ class MatmulInstance:
                 raise ValueError(f"{name} has entries outside the field")
         if a.shape != b.shape:
             raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        m = a.shape[0]
-        if not _is_pow2(k) or k < 2:
-            raise ValueError(f"k must be a power of two >= 2, got {k}")
-        if m % k != 0:
-            raise ValueError(f"k={k} must divide m={m}")
-        n = k * k
-        if m < k * math.ceil(math.log2(n)):
-            raise ValueError(
-                f"m={m} too small for k={k}: need m >= k*ceil(log2(k^2))"
-            )
+        _validate_params(a.shape[0], k)
 
     @property
     def m(self) -> int:
@@ -142,8 +145,7 @@ def build_matmul_graph(k: int, c: float = 1.0) -> TaskGraph:
     then crosses its own forwarding list of the same length before
     reaching the target.
     """
-    if not _is_pow2(k) or k < 2:
-        raise ValueError(f"k must be a power of two >= 2, got {k}")
+    _validate_k(k)
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
     n = k * k

@@ -29,7 +29,7 @@ import numpy as np
 from .metrics import Metrics
 from .protocol import TARGET, Done, Reject, Silent, SupervisorState
 from .rngs import INSTANCE, stream as rng_stream
-from .taskgraph import GraphBuilder, TaskGraph, TaskKind
+from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2
 from .verify import SigningKey, sign_items, verify_items
 
 
@@ -42,10 +42,6 @@ def bit_reversal(j: int, bits: int) -> int:
         out = (out << 1) | (j & 1)
         j >>= 1
     return out
-
-
-def _is_pow2(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
 
 
 def _validate_params(m: int, n: int) -> None:
@@ -265,9 +261,6 @@ class MergesortApp:
         if None in counts:
             raise LookupError(f"task {task} has undeclared predecessor counts")
         return sum(counts)
-
-    def quantile_range(self, task: int):
-        return self._ranges[task]
 
     # -- engine-facing interface ------------------------------------------------
 
@@ -489,13 +482,19 @@ class MergesortApp:
 
 
 def read_values(path) -> np.ndarray:
-    """Newline-delimited unsigned integers."""
+    """Newline-delimited unsigned 64-bit integers; blank lines are skipped."""
     vals = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                vals.append(int(line))
+            if not line:
+                continue
+            if not line.isdecimal() or int(line) >= 1 << 64:
+                raise ValueError(
+                    f"{path}:{lineno}: expected an unsigned 64-bit integer, "
+                    f"got {line!r}"
+                )
+            vals.append(int(line))
     return np.array(vals, dtype=np.uint64)
 
 

@@ -72,7 +72,6 @@ class SupervisorState:
 
     f: set[int] = field(default_factory=set)
     last_worker: dict[int, int] = field(default_factory=dict)
-    wavefront: set[int] = field(default_factory=set)
     expected_counts: dict[tuple[int, int], int] = field(default_factory=dict)
     digests: dict[int, bytes] = field(default_factory=dict)
     round: int = 0
@@ -168,32 +167,35 @@ class AdversaryView:
     present (graph, assignments, finished set, payloads its workers have
     handled, round number) but no private keys and no future randomness."""
 
-    def __init__(self, engine: "Engine") -> None:
-        self._engine = engine
+    def __init__(self, graph: TaskGraph, app, sup: SupervisorState) -> None:
+        # holds what it shows, not the engine, so an engine is freed by
+        # reference counting as soon as its trial drops it
+        self._graph = graph
+        self._app = app
+        self._sup = sup
 
     @property
     def graph(self) -> TaskGraph:
-        return self._engine.graph
+        return self._graph
 
     @property
     def app(self):
-        return self._engine.app
+        return self._app
 
     @property
     def round(self) -> int:
-        return self._engine.sup.round
+        return self._sup.round
 
     @property
     def finished(self) -> frozenset[int]:
-        return frozenset(self._engine.sup.f)
+        return frozenset(self._sup.f)
 
     def is_final(self, task: int) -> bool:
-        return not self._engine.graph.succs[task]
+        return not self._graph.succs[task]
 
     def expected_in(self, task: int) -> int | None:
-        app = self._engine.app
-        if hasattr(app, "expected_in"):
-            return app.expected_in(task, self._engine.sup)
+        if hasattr(self._app, "expected_in"):
+            return self._app.expected_in(task, self._sup)
         return None
 
 
@@ -243,7 +245,7 @@ class Engine:
         self.worker_honest: list[bool] = [True] * n
         self._outputs: list[Any] = [None] * n
         self._collected: set[int] = set()
-        self.view = AdversaryView(self)
+        self.view = AdversaryView(graph, app, self.sup)
         self.terminated = False
 
         if self.mode == "path":
@@ -367,7 +369,6 @@ class Engine:
     def _step_dag(self) -> dict:
         g = self.graph
         wf = np.nonzero(~self._in_f & (self._missing == 0))[0]
-        self.sup.wavefront = set(int(v) for v in wf)
         reports: list[tuple[int, Report]] = []
         for v in wf:
             v = int(v)

@@ -42,6 +42,10 @@ def ceil_log2(n: int) -> int:
     return int(ceil(log2(n))) if n > 1 else 0
 
 
+def _is_pow2(x: int) -> bool:
+    return x >= 1 and (x & (x - 1)) == 0
+
+
 @dataclass(frozen=True)
 class TaskGraph:
     kinds: tuple[TaskKind, ...]
@@ -141,10 +145,14 @@ def assert_leveled(g: TaskGraph) -> None:
             )
 
 
-def build_path(n: int) -> TaskGraph:
-    """Directed path v_0 -> ... -> v_{n-1} of PathCompute tasks."""
+def _validate_path(n: int) -> None:
     if n < 1:
         raise ValueError(f"path needs at least one task, got n={n}")
+
+
+def build_path(n: int) -> TaskGraph:
+    """Directed path v_0 -> ... -> v_{n-1} of PathCompute tasks."""
+    _validate_path(n)
     b = GraphBuilder()
     for i in range(n):
         b.add_task(TaskKind.PATH_COMPUTE, level=i)
@@ -287,6 +295,12 @@ def extend_with_io_lists(g: TaskGraph, c: int = 2) -> TaskGraph:
     return b.freeze(require_leveled=True)
 
 
+def _validate_dag(width: int, depth: int) -> None:
+    if width < 1 or depth < 0:
+        raise ValueError(
+            f"need width >= 1 and depth >= 0, got width={width}, depth={depth}")
+
+
 def random_leveled_dag(
     width: int,
     depth: int,
@@ -301,8 +315,7 @@ def random_leveled_dag(
     and out-degrees at most 2.  The result is leveled by construction with
     span exactly `depth`.
     """
-    if width < 1 or depth < 0:
-        raise ValueError("width must be >= 1 and depth >= 0")
+    _validate_dag(width, depth)
     b = GraphBuilder()
     rows = [
         [b.add_task(TaskKind.GENERIC, level=lv) for _ in range(width)]

@@ -2,7 +2,11 @@
 tags, majority resolution, and the randomized matrix-product check.
 
 Matrix entries live in the prime field mod p = 2^61 - 1 so that equality
-tests are exact; there are no floating-point tolerance questions anywhere.
+tests are exact.  `f_matmul` is the one matrix-product kernel (block
+products, Freivalds' mat-vecs and the harness oracle all use it): it runs
+on float64 BLAS over 21-bit limbs, in inner chunks of 2^10 terms, so every
+float64 partial sum is an integer below 2^53 and the result is exact
+whatever the BLAS summation order or thread count.
 Digests and item tags are keyed per run and the key never crosses the
 adversary-facing API, which models collision resistance and unforgeability
 at simulation fidelity without public-key machinery.
@@ -25,66 +29,27 @@ import numpy as np
 from .metrics import Metrics
 
 P = np.uint64((1 << 61) - 1)
-_MASK31 = np.uint64((1 << 31) - 1)
-_MASK30 = np.uint64((1 << 30) - 1)
-_U31 = np.uint64(31)
-_U30 = np.uint64(30)
 _U61 = np.uint64(61)
 _TWO = np.uint64(2)
+_LIMB_SHIFTS = np.array([0, 21, 42], dtype=np.uint64)
+_LIMB_MASK = np.uint64((1 << 21) - 1)
+# Inner terms per float64 product: with entries below 2^61 the top limb is
+# below 2^19, so every shift-group sum stays below 1.5 * 2^42 * 2^10 < 2^53.
+_CHUNK = 1 << 10
 
 MODULUS = int(P)
 
 
 def f_reduce(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     """Reduce values below 2^64 into [0, p)."""
-    x = (x & P) + (x >> _U61)
-    x = (x & P) + (x >> _U61)
+    x = (x & P) + (x >> _U61)  # at most p + 7
     return np.where(x >= P, x - P, x)
 
 
-def f_add(a, b):
-    return f_reduce(a + b)
-
-
-def f_mul(a, b):
-    """Exact (a*b) mod p on uint64 arrays via 31-bit limb decomposition.
-
-    With a = a1·2^31 + a0 and b = b1·2^31 + b0, the product decomposes into
-    a1·b1·2^62 + (a1·b0 + a0·b1)·2^31 + a0·b0; every partial term fits in
-    64 bits, and 2^61 ≡ 1 (mod p) turns the shifts into cheap folds.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    a1, a0 = a >> _U31, a & _MASK31
-    b1, b0 = b >> _U31, b & _MASK31
-    hi = a1 * b1  # < 2^60; times 2^62 ≡ 2 (mod p)
-    mid = a1 * b0 + a0 * b1  # < 2^62
-    lo = a0 * b0  # < 2^62
-    mid_folded = ((mid & _MASK30) << _U31) + (mid >> _U30)
-    lo_folded = (lo & P) + (lo >> _U61)
-    return f_reduce(_TWO * hi + f_reduce(mid_folded) + lo_folded)
-
-
-def _chunked_sum_mod(terms: np.ndarray, axis: int) -> np.ndarray:
-    """Sum values < 2^62 along an axis without leaving the field.
-
-    Tree reduction: each pass sums groups of four (safe in 64 bits,
-    since the addends are reduced to < 2^61 after the first pass) and
-    reduces once, so only a logarithmic number of passes touch the data.
-    """
-    arr = np.moveaxis(np.asarray(terms, dtype=np.uint64), axis, -1)
-    if arr.shape[-1] == 0:
-        return np.zeros(arr.shape[:-1], dtype=np.uint64)
-    while arr.shape[-1] > 1:
-        pad = (-arr.shape[-1]) % 4
-        if pad:
-            arr = np.concatenate(
-                [arr, np.zeros(arr.shape[:-1] + (pad,), dtype=np.uint64)],
-                axis=-1,
-            )
-        grouped = arr.reshape(arr.shape[:-1] + (-1, 4))
-        arr = f_reduce(grouped.sum(axis=-1, dtype=np.uint64))
-    return arr[..., 0]
+def _rotl61(x: np.ndarray, s: int) -> np.ndarray:
+    """x * 2^s mod p for x < 2^61: a 61-bit rotation, since 2^61 = 1 mod p.
+    The result lies in [0, 2^61 - 1], where 2^61 - 1 stands for 0."""
+    return ((x << np.uint64(s)) & P) | (x >> np.uint64(61 - s))
 
 
 def f_matmul(
@@ -93,43 +58,38 @@ def f_matmul(
     metrics: Metrics | None = None,
     role: str = "worker",
 ) -> np.ndarray:
-    """Schoolbook matrix product over the field; charges r·c·inner madds."""
+    """Matrix product over the field; charges rows·cols·inner madds.
+
+    Entries must lie below 2^61.  Each operand is split into three 21-bit
+    limbs, a = Σ a_i·2^(21i) and b = Σ b_j·2^(21j), stacked so that one
+    float64 product per inner chunk yields every a_i·b_j.  The shift groups
+    g_k = Σ_{i+j=k} a_i·b_j are integers below 2^53, hence exact whatever
+    order or thread count BLAS sums in, and fold back mod p.
+    """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
     rows, inner = a.shape
     cols = b.shape[1]
-    # blocks of the inner dimension keep the broadcast product buffers small
+    # limb i of a fills rows i*rows.., limb j of b fills columns j*cols..
+    la = (a >> _LIMB_SHIFTS[:, None, None]) & _LIMB_MASK
+    la = la.astype(np.float64).reshape(3 * rows, inner)
+    lb = (b[:, None, :] >> _LIMB_SHIFTS[:, None]) & _LIMB_MASK
+    lb = lb.astype(np.float64).reshape(inner, 3 * cols)
     out = np.zeros((rows, cols), dtype=np.uint64)
-    step = max(1, (1 << 22) // max(1, rows * cols))
-    for t0 in range(0, inner, step):
-        part = f_mul(a[:, t0 : t0 + step, np.newaxis], b[np.newaxis, t0 : t0 + step, :])
-        out = f_reduce(out + _chunked_sum_mod(part, axis=1))
+    for t0 in range(0, inner, _CHUNK):
+        part = la[:, t0 : t0 + _CHUNK] @ lb[t0 : t0 + _CHUNK]
+        p = part.astype(np.uint64).reshape(3, rows, 3, cols)
+        # 2^63 = 4 and 2^84 = 2^23 (mod p), so the chunk's product is
+        # g0 + 4·g3 + 2^21·(g1 + 4·g4) + 2^42·g2, with both sums below 2^54
+        g1 = p[0, :, 1] + p[1, :, 0]
+        g2 = p[0, :, 2] + p[1, :, 1] + p[2, :, 0]
+        g3 = p[1, :, 2] + p[2, :, 1]
+        low = p[0, :, 0] + (g3 << _TWO)
+        mid = g1 + (p[2, :, 2] << _TWO)
+        out = f_reduce(out + low + _rotl61(mid, 21) + _rotl61(g2, 42))
     if metrics is not None:
         metrics.charge_comp(role, rows * cols * inner)
     return out
-
-
-def f_matvec(
-    a: np.ndarray,
-    x: np.ndarray,
-    metrics: Metrics | None = None,
-    role: str = "worker",
-) -> np.ndarray:
-    """Matrix-vector product over the field; charges rows·cols madds."""
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} x {x.shape}")
-    prods = f_mul(a, x[np.newaxis, :])
-    if metrics is not None:
-        metrics.charge_comp(role, a.shape[0] * a.shape[1])
-    return _chunked_sum_mod(prods, axis=1)
-
-
-def masked_column_sum(m: np.ndarray, rbits: np.ndarray) -> np.ndarray:
-    """m · r for a 0/1 vector r: a sum of selected columns, no multiplies."""
-    sel = m[:, rbits.astype(bool)]
-    if sel.shape[1] == 0:
-        return np.zeros(m.shape[0], dtype=np.uint64)
-    return _chunked_sum_mod(sel, axis=1)
 
 
 def freivalds(
@@ -146,8 +106,8 @@ def freivalds(
     Each repetition draws a fresh 0/1 vector r, computes x = b_j·r,
     y = a_i·x and z = c·r, and compares y to z.  A correct product always
     passes; a wrong one passes a single repetition with probability at most
-    1/2, hence at most 2^-τ overall.  Only the y-stage performs
-    multiply-adds (the other two stages are masked column sums); cost is
+    1/2, hence at most 2^-τ overall.  Only the y-stage is charged (the
+    other two stages are sums of columns selected by r); cost is
     τ·rows(a_i)·cols(a_i) multiply-adds, far below the full product.
     """
     if tau < 1:
@@ -173,9 +133,10 @@ def freivalds_once(
     role: str = "worker",
 ) -> bool:
     """One repetition with a caller-supplied 0/1 vector r."""
-    x = masked_column_sum(b_j, r)
-    y = f_matvec(a_i, x, metrics, role)
-    z = masked_column_sum(c, r)
+    r = r[:, np.newaxis]
+    x = f_matmul(b_j, r)
+    y = f_matmul(a_i, x, metrics, role)
+    z = f_matmul(c, r)
     return bool(np.array_equal(y, z))
 
 

@@ -8,6 +8,8 @@ walk, and so on.  Tests freeze these as the ground truth.
 
 from itertools import product
 
+import numpy as np
+
 P = (1 << 61) - 1
 
 
@@ -49,9 +51,11 @@ def longest_path_levels(preds: dict[int, tuple]) -> dict[int, int]:
 
 
 def py_matmul_mod(a, b) -> list[list[int]]:
-    """Schoolbook product mod 2^61-1 using arbitrary-precision ints."""
-    rows, inner = len(a), len(a[0])
-    cols = len(b[0])
+    """Schoolbook product mod 2^61-1 using arbitrary-precision ints.
+
+    Takes nested lists or 2-d arrays; pass arrays when a dimension is 0,
+    since an empty list no longer carries the other dimension."""
+    (rows, inner), (_, cols) = np.shape(a), np.shape(b)
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         for j in range(cols):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 
@@ -13,6 +14,7 @@ from supsim.harness import (
     run_experiment,
     run_trial,
 )
+from supsim.protocol import Engine
 
 
 def _cfg(**kw):
@@ -144,6 +146,44 @@ def test_cli_trials_flag_expands_to_seed_range(tmp_path):
 def test_cli_bad_config_exits_2(capsys):
     assert main(["--app", "matmul", "--n", "10"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, text, names",
+    [
+        (["--app", "path", "--n", "0"], None, "n=0"),
+        (["--app", "dag", "--m", "0"], None, "width=0"),
+        (["--app", "matmul", "--m", "8", "--n", "16"], None, "m=8 too small"),
+        (["--app", "mergesort", "--n", "3"], None, "got 3"),
+        (["--app", "mergesort"], "-5\n", "input.txt:1"),
+        (["--app", "matmul", "--n", "16"], "-5\n", "not a matrix-pair file"),
+    ],
+    ids=["path-n0", "dag-m0", "matmul-m8-n16", "mergesort-n3", "negative-input",
+         "matmul-bad-input"],
+)
+def test_cli_shape_and_input_errors_exit_2(tmp_path, capsys, args, text, names):
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        args = args + ["--input", str(path)]
+    assert main(args + ["--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and names in err
+
+
+def test_no_engine_outlives_its_trial():
+    # an engine in a reference cycle keeps its trial's payloads alive
+    # until the cyclic collector runs
+    cfg = _cfg(app="mergesort", m=256, n=8, beta=0.08, strategy="random_mix")
+    gc.collect()
+    gc.disable()
+    try:
+        before = sum(isinstance(o, Engine) for o in gc.get_objects())
+        run_trial(cfg, 3)
+        after = sum(isinstance(o, Engine) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert after == before
 
 
 def test_cli_failing_verdict_exits_1(tmp_path):

@@ -8,16 +8,13 @@ from supsim.rngs import stream
 from supsim.verify import (
     MODULUS,
     SigningKey,
+    _CHUNK,
     digest,
-    f_add,
     f_matmul,
-    f_matvec,
-    f_mul,
     f_reduce,
     freivalds,
     freivalds_once,
     majority_digest,
-    masked_column_sum,
     serialize_matrix,
     sign_items,
     verify_items,
@@ -25,25 +22,16 @@ from supsim.verify import (
 
 from _oracles import P, exhaustive_freivalds_rate, py_matmul_mod
 
-felt = st.integers(0, P - 1)
+# entries at the edges of f_matmul's 21-bit limbs, and inner dimensions at
+# the edges of its float64 chunks
+LIMB_EDGES = np.array(
+    [0, 1, 2**21 - 1, 2**21, 2**42 - 1, 2**42, P - 1], dtype=np.uint64
+)
+CHUNK_EDGES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
 
 
 def _arr(rows):
     return np.array(rows, dtype=np.uint64)
-
-
-@given(felt, felt)
-@settings(max_examples=200)
-def test_f_add_matches_python_ints(x, y):
-    got = f_add(_arr([x]), _arr([y]))
-    assert int(got[0]) == (x + y) % P
-
-
-@given(felt, felt)
-@settings(max_examples=200)
-def test_f_mul_matches_python_ints(x, y):
-    got = f_mul(_arr([x]), _arr([y]))
-    assert int(got[0]) == (x * y) % P
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -63,27 +51,61 @@ def test_f_matmul_matches_bigint_oracle(seed, rows, inner, cols):
     assert got.tolist() == py_matmul_mod(a.tolist(), b.tolist())
 
 
+@pytest.mark.parametrize("inner", [1] + CHUNK_EDGES)
+def test_f_matmul_all_entries_p_minus_1(inner):
+    # the largest grouped float64 sums the kernel can meet
+    a = np.full((2, inner), P - 1, dtype=np.uint64)
+    b = np.full((inner, 3), P - 1, dtype=np.uint64)
+    assert f_matmul(a, b).tolist() == py_matmul_mod(a.tolist(), b.tolist())
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 3] + CHUNK_EDGES),
+    st.integers(1, 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_f_matmul_exact_at_limb_edges(seed, rows, inner, cols):
+    rng = np.random.default_rng(seed)
+    a = rng.choice(LIMB_EDGES, size=(rows, inner))
+    b = rng.choice(LIMB_EDGES, size=(inner, cols))
+    assert f_matmul(a, b).tolist() == py_matmul_mod(a.tolist(), b.tolist())
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.sampled_from([1, 5] + CHUNK_EDGES),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_f_matmul_column_vector_operand(seed, rows, inner, mask):
+    # the mat-vec shape Freivalds uses: 0/1 masks and field vectors
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, P, size=(rows, inner), dtype=np.uint64)
+    high = 2 if mask else P
+    x = rng.integers(0, high, size=(inner, 1), dtype=np.uint64)
+    assert f_matmul(a, x).tolist() == py_matmul_mod(a.tolist(), x.tolist())
+
+
+@pytest.mark.parametrize(
+    "rows, inner, cols", [(0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)]
+)
+def test_f_matmul_empty_shapes(rows, inner, cols):
+    a = np.ones((rows, inner), dtype=np.uint64)
+    b = np.ones((inner, cols), dtype=np.uint64)
+    got = f_matmul(a, b)
+    assert got.shape == (rows, cols) and got.dtype == np.uint64
+    assert got.tolist() == py_matmul_mod(a, b)
+
+
 def test_f_matmul_charges_multiply_adds():
     m = Metrics()
     a = np.ones((3, 4), dtype=np.uint64)
     b = np.ones((4, 5), dtype=np.uint64)
     f_matmul(a, b, metrics=m, role="worker")
     assert m.comp_work["worker"] == 3 * 4 * 5
-
-
-def test_f_matvec_agrees_with_matmul():
-    rng = np.random.default_rng(7)
-    a = rng.integers(0, P, size=(5, 3), dtype=np.uint64)
-    x = rng.integers(0, P, size=3, dtype=np.uint64)
-    assert f_matvec(a, x).tolist() == [row[0] for row in f_matmul(a, x[:, None]).tolist()]
-
-
-def test_masked_column_sum_selects_columns():
-    a = np.arange(12, dtype=np.uint64).reshape(3, 4)
-    mask = np.array([1, 0, 1, 1], dtype=np.uint64)
-    got = masked_column_sum(a, mask)
-    expect = [(0 + 2 + 3) % P, (4 + 6 + 7) % P, (8 + 10 + 11) % P]
-    assert got.tolist() == expect
 
 
 def test_freivalds_charges_only_the_matvec_part():
