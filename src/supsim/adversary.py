@@ -24,6 +24,7 @@ from .protocol import (
     Report,
     Silent,
     WorkerSampler,
+    check_beta,
 )
 from .taskgraph import TaskKind
 
@@ -47,8 +48,7 @@ __all__ = [
 
 def expected_resamples(beta: float) -> float:
     """Expected draws until an honest worker holds a task: 1 / (1 - beta)."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0,1), got {beta}")
+    check_beta(beta)
     return 1.0 / (1.0 - beta)
 
 

@@ -30,7 +30,7 @@ from .matmul import MatmulApp, load_instance, make_matmul_app
 from .matmul import _validate_params as _validate_matmul
 from .mergesort import MergesortApp, make_mergesort_app, read_values
 from .mergesort import _validate_params as _validate_mergesort
-from .protocol import Engine, FlagApp
+from .protocol import Engine, FlagApp, check_beta
 from .rngs import TrialRngs
 from .taskgraph import _validate_dag, _validate_path, build_path, random_leveled_dag
 from .verify import f_matmul
@@ -109,8 +109,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.app not in APPS:
             raise ValueError(f"app must be one of {APPS}, got {self.app!r}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must lie in [0,1), got {self.beta}")
+        check_beta(self.beta)
         if self.strategy not in builtin_strategies():
             raise ValueError(
                 f"unknown strategy {self.strategy!r} "
@@ -121,14 +120,19 @@ class ExperimentConfig:
         if self.round_cap is not None and self.round_cap < 1:
             raise ValueError(f"round_cap must be >= 1, got {self.round_cap}")
         # app shape rules, checked by the same functions the builders call;
-        # an input file replaces m and its contents are checked here too
+        # an input file must have the shape n and m describe
         if self.app == "path":
             _validate_path(self.n)
         elif self.app == "dag":
             _validate_dag(self.m, self.n)
         elif self.app == "mergesort":
-            m = len(read_values(self.input_path)) if self.input_path else self.m
-            _validate_mergesort(m, self.n)
+            if self.input_path:
+                m = len(read_values(self.input_path))
+                if m != self.m:
+                    raise ValueError(
+                        f"{self.input_path} holds {m} values, but m={self.m}"
+                    )
+            _validate_mergesort(self.m, self.n)
         elif self.app == "matmul":
             k = math.isqrt(self.n)
             if k * k != self.n:
@@ -143,7 +147,12 @@ class ExperimentConfig:
                     f"{self.beta + 2.0 ** (-self.tau):.4f}"
                 )
             if self.input_path:
-                load_instance(self.input_path)
+                inst = load_instance(self.input_path)
+                if (inst.n, inst.m) != (self.n, self.m):
+                    raise ValueError(
+                        f"{self.input_path} holds n=k^2={inst.n}, m={inst.m}, "
+                        f"but n={self.n}, m={self.m}"
+                    )
             else:
                 _validate_matmul(self.m, k)
         for name in self.ceilings:
@@ -207,7 +216,7 @@ def _build_trial(cfg: ExperimentConfig, seed: int):
             app = MatmulApp(inst, tau=cfg.tau, c=cfg.c,
                             key=rngs.instance.bytes(16))
         else:
-            app = make_matmul_app(cfg.m, k, cfg.tau, seed, cfg.c)
+            app = make_matmul_app(cfg.m, k, cfg.tau, rngs.instance, cfg.c)
         graph = app.graph
         product = f_matmul(app.instance.a, app.instance.b)
         oracle = lambda out: bool(np.array_equal(out, product))
@@ -216,7 +225,7 @@ def _build_trial(cfg: ExperimentConfig, seed: int):
             values = read_values(cfg.input_path)
             app = MergesortApp(values, n=cfg.n, c=cfg.c, rng=rngs.instance)
         else:
-            app = make_mergesort_app(cfg.m, cfg.n, seed, cfg.c)
+            app = make_mergesort_app(cfg.m, cfg.n, rngs.instance, cfg.c)
             values = app.input_values
         graph = app.graph
         expect = np.sort(values)

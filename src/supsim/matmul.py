@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import Metrics
-from .protocol import Done, Reject, Silent, SupervisorState
-from .rngs import INSTANCE, stream as rng_stream
+from .protocol import Done, Reject, Silent, SupervisorState, read_only
 from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2
 from .verify import (
     MODULUS,
@@ -99,11 +98,14 @@ def random_instance(m: int, k: int, rng: np.random.Generator) -> MatmulInstance:
 def stripes(
     a: np.ndarray, b: np.ndarray, k: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Row stripes of a and column stripes of b, k of each."""
+    """Row stripes of a and column stripes of b, k of each, read-only (an
+    A-stripe is a view into a)."""
     m = a.shape[0]
     w = m // k
-    a_stripes = [np.ascontiguousarray(a[i * w : (i + 1) * w, :]) for i in range(k)]
-    b_stripes = [np.ascontiguousarray(b[:, j * w : (j + 1) * w]) for j in range(k)]
+    a_stripes = [read_only(np.ascontiguousarray(a[i * w : (i + 1) * w, :]))
+                 for i in range(k)]
+    b_stripes = [read_only(np.ascontiguousarray(b[:, j * w : (j + 1) * w]))
+                 for j in range(k)]
     return a_stripes, b_stripes
 
 
@@ -229,15 +231,15 @@ class MatmulApp:
         self,
         instance: MatmulInstance,
         tau: int,
+        key: bytes,
         c: float = 1.0,
-        key: bytes | None = None,
     ) -> None:
         if tau < 1:
             raise ValueError(f"tau must be >= 1, got {tau}")
         self.instance = instance
         self.tau = tau
         self.graph = build_matmul_graph(instance.k, c)
-        self._key = key if key is not None else b""
+        self._key = key
 
         k, m = instance.k, instance.m
         self._w = m // k
@@ -315,7 +317,8 @@ class MatmulApp:
         role = self.graph.meta[task]["role"]
         return 1 if role in ("input", "tree") else 2
 
-    def execute(self, task: int, inputs, rng, metrics: Metrics):
+    def execute(self, task: int, inputs, sup: SupervisorState, rng,
+                metrics: Metrics):
         meta = self.graph.meta[task]
         role = meta["role"]
         preds = self.graph.preds[task]
@@ -338,7 +341,7 @@ class MatmulApp:
                 bad.append(preds[1])
             if bad:
                 return Reject(bad), None
-            c_ij = f_matmul(a_i, b_j, metrics=metrics, role="worker")
+            c_ij = read_only(f_matmul(a_i, b_j, metrics=metrics, role="worker"))
             return _DONE_PLAIN, (a_i, b_j, c_ij)
 
         # output list: re-verify the block before vouching for it
@@ -430,9 +433,8 @@ class MatmulApp:
 
 
 def make_matmul_app(
-    m: int, k: int, tau: int, seed: int, c: float = 1.0
+    m: int, k: int, tau: int, rng: np.random.Generator, c: float = 1.0
 ) -> MatmulApp:
-    """Instance and application from one seed (instance stream only)."""
-    rng = rng_stream(seed, INSTANCE)
+    """Instance and application from a trial's instance stream."""
     inst = random_instance(m, k, rng)
     return MatmulApp(inst, tau=tau, c=c, key=rng.bytes(16))

@@ -27,8 +27,7 @@ import math
 import numpy as np
 
 from .metrics import Metrics
-from .protocol import TARGET, Done, Reject, Silent, SupervisorState
-from .rngs import INSTANCE, stream as rng_stream
+from .protocol import TARGET, Done, Reject, Silent, SupervisorState, read_only
 from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2
 from .verify import SigningKey, sign_items, verify_items
 
@@ -199,16 +198,14 @@ class MergesortApp:
         self,
         values: np.ndarray,
         n: int,
+        rng: np.random.Generator,
         c: float = 1.0,
-        rng: np.random.Generator | None = None,
     ) -> None:
         values = np.asarray(values, dtype=np.uint64)
         if values.ndim != 1:
             raise ValueError("values must be a flat array")
         m = values.shape[0]
         _validate_params(m, n)
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.m, self.n, self.c = m, n, c
         self.input_values = values.copy()
         self.graph = build_mergesort_graph(n, m, c)
@@ -218,7 +215,7 @@ class MergesortApp:
         idxs = np.arange(1, m + 1, dtype=np.uint64)
         self._key = SigningKey.generate(rng)
         t0, t1 = sign_items(vals, idxs, self._key)
-        self._items = np.column_stack([vals, idxs, t0, t1])
+        self._items = read_only(np.column_stack([vals, idxs, t0, t1]))
 
         sel = rng.choice(m, size=n, replace=False)
         pairs = self._items[np.sort(sel)][:, :2]
@@ -248,16 +245,15 @@ class MergesortApp:
             else:
                 self._ranges[v] = None
 
-        self._declared: dict[tuple[int, int], int] = {}
         self._streams: dict[int, np.ndarray] = {}
 
     # -- structural helpers ---------------------------------------------------
 
-    def expected_in(self, task: int, sup: SupervisorState | None = None) -> int:
+    def expected_in(self, task: int, sup: SupervisorState) -> int:
         preds = self.graph.preds[task]
         if not preds:
             return self.m // self.n
-        counts = [self._declared.get((p, task)) for p in preds]
+        counts = [sup.expected_counts.get((p, task)) for p in preds]
         if None in counts:
             raise LookupError(f"task {task} has undeclared predecessor counts")
         return sum(counts)
@@ -310,7 +306,8 @@ class MergesortApp:
             return False
         return bool(np.all(in_cyclic_range(vals, idxs, bounds)))
 
-    def execute(self, task: int, inputs, rng, metrics: Metrics):
+    def execute(self, task: int, inputs, sup: SupervisorState, rng,
+                metrics: Metrics):
         meta = self.graph.meta[task]
         role = meta["role"]
         preds = self.graph.preds[task]
@@ -329,7 +326,7 @@ class MergesortApp:
                 block_out = 1 << meta["s_out"]
                 group = np.arange(w, dtype=np.uint64) // block_out
                 order = np.lexsort((arr[:, 1], arr[:, 0], group))
-                arr = arr[order]
+                arr = read_only(arr[order])
             return Done((w,)), arr
 
         if role == "split0":
@@ -344,7 +341,7 @@ class MergesortApp:
             offenders = []
             bounds = self._ranges[task]
             for p, arr in zip(preds, inputs):
-                expect = self._declared[(p, task)]
+                expect = sup.expected_counts[(p, task)]
                 p_seg = self.graph.meta[p]["segment"]
                 if self._check_run(arr, expect, p_seg, bounds, self.m, metrics):
                     runs.append(arr)
@@ -356,6 +353,7 @@ class MergesortApp:
             if merged.shape[0]:
                 order = np.lexsort((merged[:, 1], merged[:, 0]))
                 merged = merged[order]
+            read_only(merged)
             metrics.charge_comp("worker", merged.shape[0])
             metrics.saw_task_items(merged.shape[0])
             if len(self.graph.succs[task]) == 2:
@@ -365,7 +363,7 @@ class MergesortApp:
         # forwarding list toward the target
         (p,) = preds
         arr = inputs[0]
-        expect = self._declared[(p, task)]
+        expect = sup.expected_counts[(p, task)]
         ok = self._check_run(
             arr, expect, self.graph.meta[p]["segment"], self._ranges[task],
             self.m, metrics,
@@ -379,7 +377,7 @@ class MergesortApp:
         s0, s1 = self.graph.succs[task]
         mask = in_cyclic_range(arr[:, 0], arr[:, 1], self._ranges[s0])
         metrics.charge_comp("worker", arr.shape[0])
-        low, high = arr[mask], arr[~mask]
+        low, high = read_only(arr[mask]), read_only(arr[~mask])
         outs = {s0: low, s1: high}
         return Done((int(low.shape[0]), int(high.shape[0]))), outs
 
@@ -395,14 +393,13 @@ class MergesortApp:
         ):
             return False
         try:
-            expect = self.expected_in(task)
+            expect = self.expected_in(task, sup)
         except LookupError:
             return False
         if sum(int(x) for x in aux) != expect:
             return False
         dests = succs if succs else (TARGET,)
         for dest, cnt in zip(dests, aux):
-            self._declared[(task, dest)] = int(cnt)
             sup.expected_counts[(task, dest)] = int(cnt)
         return True
 
@@ -411,7 +408,7 @@ class MergesortApp:
     def target_verify(
         self, task: int, payload, sup: SupervisorState, metrics: Metrics
     ) -> bool:
-        expect = self._declared.get((task, TARGET))
+        expect = sup.expected_counts.get((task, TARGET))
         if expect is None:
             return False
         return self._check_run(
@@ -498,8 +495,9 @@ def read_values(path) -> np.ndarray:
     return np.array(vals, dtype=np.uint64)
 
 
-def make_mergesort_app(m: int, n: int, seed: int, c: float = 1.0) -> MergesortApp:
-    """Instance and application from one seed (instance stream only)."""
-    rng = rng_stream(seed, INSTANCE)
+def make_mergesort_app(
+    m: int, n: int, rng: np.random.Generator, c: float = 1.0
+) -> MergesortApp:
+    """Instance and application from a trial's instance stream."""
     values = rng.integers(0, 1 << 61, size=m, dtype=np.uint64)
     return MergesortApp(values, n=n, c=c, rng=rng)

@@ -10,10 +10,15 @@ execution pointer down a directed path with the rollback rule (a REJECT
 moves the pointer back one task; the worker two tasks back re-delivers,
 and may re-corrupt, which is then handled as a fresh REJECT).  DAG mode
 schedules the whole wavefront each round and prunes the finished set on
-REJECT reports.  The two differ in one deliberate way: in path mode a
-target rejection rolls back to a fresh worker at the last task, while in
-DAG mode the final task is simply not marked finished ("missing reply")
-and is re-run.
+REJECT reports.  A path-shaped graph always runs in path mode.
+
+Both modes hand a final task's output to the target through one path,
+`Engine._deliver`: the emission, the target's verification, collection,
+and the finished-set entry.  So a final task is finished exactly while
+the target holds its output, and removing it from the finished set drops
+that output too.  The modes differ in what follows a rejected delivery:
+path mode re-runs the last task with a fresh worker, while DAG mode just
+leaves the final task unfinished ("missing reply"), so it is re-run.
 """
 
 from __future__ import annotations
@@ -64,6 +69,13 @@ class _Silent:
 
 Silent = _Silent()
 Report = Done | Reject | _Silent
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Freeze a payload where it is made, so no worker that is handed it
+    (or a view of it) can write into the data its maker still reads."""
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass
@@ -133,6 +145,12 @@ def apply_report(g: TaskGraph, f: set[int], v: int, report: Report) -> set[int]:
 # Worker sampling (buffered Bernoulli honesty draws)
 
 
+def check_beta(beta: float) -> None:
+    """The adversarial fraction of the worker pool must lie in [0, 1)."""
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must lie in [0,1), got {beta}")
+
+
 class WorkerSampler:
     """Black-box worker pool.
 
@@ -143,8 +161,7 @@ class WorkerSampler:
     """
 
     def __init__(self, beta: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"beta must lie in [0,1), got {beta}")
+        check_beta(beta)
         self.beta = beta
         self.rng = rng
         self._buf = np.empty(0)
@@ -193,11 +210,6 @@ class AdversaryView:
     def is_final(self, task: int) -> bool:
         return not self._graph.succs[task]
 
-    def expected_in(self, task: int) -> int | None:
-        if hasattr(self._app, "expected_in"):
-            return self._app.expected_in(task, self._sup)
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Engine
@@ -213,23 +225,20 @@ class Engine:
         strategy,
         beta: float,
         rngs: TrialRngs,
-        mode: str | None = None,
         round_cap: int | None = None,
         target_always_rejects: bool = False,
         check_closure: bool = False,
         trace_sink: Callable[[dict], None] | None = None,
     ) -> None:
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"beta must lie in [0,1), got {beta}")
+        if round_cap is None:
+            round_cap = 64 * (graph.span + ceil_log2(graph.n) + 1)
+        elif round_cap < 1:
+            raise ValueError(f"round cap must be >= 1, got {round_cap}")
         self.graph = graph
         self.app = app
         self.strategy = strategy
-        self.beta = beta
         self.rngs = rngs
-        self.mode = mode or ("path" if graph.is_path() else "dag")
-        if self.mode not in ("path", "dag"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        self.round_cap = round_cap or 64 * (graph.span + ceil_log2(graph.n) + 1)
+        self.round_cap = round_cap
         self.target_always_rejects = target_always_rejects
         self.check_closure = check_closure
         self.trace_sink = trace_sink
@@ -241,16 +250,13 @@ class Engine:
         strategy.bind(rngs.adversary)
         self._in_f = np.zeros(n, dtype=bool)
         self._missing = np.array([len(p) for p in graph.preds], dtype=np.int64)
-        self._f_count = 0
         self.worker_honest: list[bool] = [True] * n
         self._outputs: list[Any] = [None] * n
-        self._collected: set[int] = set()
         self.view = AdversaryView(graph, app, self.sup)
         self.terminated = False
 
-        if self.mode == "path":
-            if not graph.is_path():
-                raise ValueError("path mode requires a path-shaped graph")
+        self._is_path = graph.is_path()
+        if self._is_path:
             order = [graph.initial_tasks[0]]
             while graph.succs[order[-1]]:
                 order.append(graph.succs[order[-1]][0])
@@ -292,15 +298,22 @@ class Engine:
             inputs.append(payload)
         return inputs
 
-    def _deliver_to_target(self, v: int):
-        base = self._outputs[v]
-        payload = base.get(TARGET) if isinstance(base, dict) else base
-        if not self.worker_honest[v]:
-            payload = self.strategy.emit(self.view, v, payload, TARGET)
-        if payload is not None:
-            self.metrics.target_receives += 1
-            self.metrics.charge_comm("target", self.app.payload_size(payload))
-        return payload
+    def _deliver(self, v: int) -> bool:
+        """Hand final task v's output to the target.  True if the target
+        accepted and collected it, which finishes v."""
+        payload = self._emission(v, TARGET)
+        if payload is None:
+            return False
+        m = self.metrics
+        m.target_receives += 1
+        m.charge_comm("target", self.app.payload_size(payload))
+        if self.target_always_rejects or not self.app.target_verify(
+            v, payload, self.sup, m
+        ):
+            return False
+        self.app.target_collect(v, payload, m)
+        self._f_add(v)
+        return True
 
     # -- finished-set maintenance -------------------------------------------
 
@@ -308,7 +321,6 @@ class Engine:
         if self._in_f[v]:
             return
         self._in_f[v] = True
-        self._f_count += 1
         self.sup.f.add(v)
         for w in self.graph.succs[v]:
             self._missing[w] -= 1
@@ -317,13 +329,12 @@ class Engine:
         if not self._in_f[v]:
             return
         self._in_f[v] = False
-        self._f_count -= 1
         self.sup.f.discard(v)
         self.sup.digests.pop(v, None)
-        for w in self.graph.succs[v]:
+        succs = self.graph.succs[v]
+        for w in succs:
             self._missing[w] += 1
-        if v in self._collected:
-            self._collected.discard(v)
+        if not succs:  # a finished final task is one the target collected
             self.app.target_drop(v)
 
     def _prune(self, seeds: set[int]) -> None:
@@ -348,13 +359,13 @@ class Engine:
         self.metrics.supervisor_msgs += 2 + self.app.hint_units(v)
         if honest:
             report, outs = self.app.execute(
-                v, inputs, self.rngs.honest, self.metrics
+                v, inputs, self.sup, self.rngs.honest, self.metrics
             )
             if isinstance(report, Done):
                 self._outputs[v] = outs
             return report
         shadow_report, shadow_outs = self.app.execute(
-            v, inputs, self.rngs.adversary, _NULL_METRICS
+            v, inputs, self.sup, self.rngs.adversary, _NULL_METRICS
         )
         self._outputs[v] = shadow_outs
         return self.strategy.report(self.view, v, shadow_report)
@@ -381,18 +392,9 @@ class Engine:
                     continue
                 if g.succs[v]:
                     self._f_add(v)
-                    continue
-                payload = self._deliver_to_target(v)
-                ok = (
-                    payload is not None
-                    and not self.target_always_rejects
-                    and self.app.target_verify(v, payload, self.sup, self.metrics)
-                )
-                if ok:
-                    self.app.target_collect(v, payload, self.metrics)
-                    self._collected.add(v)
-                    self._f_add(v)
-                # else: treated like a missing reply; v stays unfinished
+                else:
+                    # a rejected delivery is a missing reply: v stays unfinished
+                    self._deliver(v)
             elif isinstance(report, Reject):
                 rejects.append((v, report))
 
@@ -403,7 +405,7 @@ class Engine:
         if seeds:
             self._prune(seeds)
 
-        if self._f_count == g.n:
+        if len(self.sup.f) == g.n:
             demoted = self.app.target_finalize(self.sup)
             if demoted:
                 for v in demoted:
@@ -417,54 +419,28 @@ class Engine:
             "round": self.sup.round,
             "scheduled": [int(v) for v in wf],
             "reports": [_report_kind(r) for _, r in reports],
-            "f_size": self._f_count,
+            "f_size": len(self.sup.f),
         }
 
     # -- path mode --------------------------------------------------------------
-
-    def path_mode_rollback(self, source_pos: int) -> None:
-        """Move the execution pointer after a REJECT.
-
-        `source_pos` is the 0-based position whose worker rejected, or
-        len(path) for a rejection by the target.  A REJECT from position
-        i > 0 re-runs position i-1 with a fresh worker (re-fed by the
-        worker at i-2); a REJECT from the first position keeps it active,
-        and the source re-sends; a target rejection re-runs the last task.
-        """
-        n = len(self._order)
-        self._delivering = False
-        if source_pos >= n:
-            self._ptr = n - 1
-        elif source_pos > 0:
-            self._ptr = source_pos - 1
-        else:
-            self._ptr = 0
 
     def _step_path(self) -> dict:
         order = self._order
         n = len(order)
         if self._delivering:
-            v = order[-1]
-            payload = self._deliver_to_target(v)
-            ok = (
-                payload is not None
-                and not self.target_always_rejects
-                and self.app.target_verify(v, payload, self.sup, self.metrics)
-            )
-            if ok:
-                self.app.target_collect(v, payload, self.metrics)
-                self._collected.add(v)
-                self._f_add(v)
+            # a rejected delivery re-runs the last task (the pointer is
+            # still there) with a fresh worker
+            if self._deliver(order[-1]):
                 self.terminated = True
             else:
-                self.path_mode_rollback(n)
+                self._delivering = False
             if self.trace_sink is None:
                 return None
             return {
                 "round": self.sup.round,
                 "scheduled": [],
                 "reports": ["Delivery"],
-                "f_size": self._f_count,
+                "f_size": len(self.sup.f),
             }
 
         pos = self._ptr
@@ -480,9 +456,11 @@ class Engine:
         elif isinstance(report, Reject):
             allowed = set(self.graph.preds[v])
             if report.tasks <= allowed:
+                # re-run position pos-1 with a fresh worker, re-fed by the
+                # worker at pos-2; at the first position the source re-sends
                 if pos > 0:
                     self._f_remove(order[pos - 1])
-                self.path_mode_rollback(pos)
+                self._ptr = max(pos - 1, 0)
             # invalid Reject: treated as Silent, pointer stays
         if self.trace_sink is None:
             return None
@@ -490,7 +468,7 @@ class Engine:
             "round": self.sup.round,
             "scheduled": [v],
             "reports": [kind],
-            "f_size": self._f_count,
+            "f_size": len(self.sup.f),
         }
 
     # -- driving ------------------------------------------------------------------
@@ -498,7 +476,7 @@ class Engine:
     def step_round(self) -> dict:
         if self.terminated:
             raise RuntimeError("computation already terminated")
-        trace = self._step_path() if self.mode == "path" else self._step_dag()
+        trace = self._step_path() if self._is_path else self._step_dag()
         self.sup.round += 1
         self.metrics.rounds = self.sup.round
         if self.check_closure and not is_ancestor_closed(self.graph, self.sup.f):
@@ -507,11 +485,8 @@ class Engine:
             self.trace_sink(trace)
         return trace
 
-    def run(self, round_cap: int | None = None) -> RunOutcome:
-        cap = round_cap or self.round_cap
-        if cap < 1:
-            raise ValueError(f"round cap must be >= 1, got {cap}")
-        while not self.terminated and self.sup.round < cap:
+    def run(self) -> RunOutcome:
+        while not self.terminated and self.sup.round < self.round_cap:
             self.step_round()
         return RunOutcome(
             rounds_used=self.sup.round,
@@ -564,7 +539,7 @@ class FlagApp:
     def hint_units(self, task: int) -> int:
         return 0
 
-    def execute(self, task, inputs, rng, metrics):
+    def execute(self, task, inputs, sup, rng, metrics):
         preds = self.graph.preds[task]
         if preds:
             offenders = [

@@ -216,15 +216,3 @@ def verify_items(
         np.asarray(t1, dtype=np.uint64) == e1
     )
 
-
-def sign_item(value: int, index: int, key: SigningKey) -> tuple[int, int]:
-    t0, t1 = sign_items(np.uint64([value]), np.uint64([index]), key)
-    return int(t0[0]), int(t1[0])
-
-
-def verify_item(value: int, index: int, tag: tuple[int, int], key: SigningKey) -> bool:
-    ok = verify_items(
-        np.uint64([value]), np.uint64([index]),
-        np.uint64([tag[0]]), np.uint64([tag[1]]), key,
-    )
-    return bool(ok[0])

@@ -13,6 +13,7 @@ from supsim.adversary import (
     expected_resamples,
     make_strategy,
 )
+from supsim.harness import ExperimentConfig, _build_trial
 from supsim.protocol import TARGET, Done, Engine, FlagApp, Reject, Silent
 from supsim.rngs import TrialRngs, stream
 from supsim.taskgraph import build_path
@@ -131,9 +132,6 @@ def test_count_cheat_shifts_counts_and_truncates_matching_stream():
         """Flag app whose tasks declare per-successor counts and whose
         payloads are lists that can actually lose items."""
 
-        def expected_in(self, task, sup=None):
-            return 10
-
         def truncate_payload(self, payload, k):
             return payload[: max(0, len(payload) - k)]
 
@@ -201,3 +199,43 @@ def test_strategy_surface_has_no_signing_access():
     for cls in builtin_strategies().values():
         api = {a for a in dir(cls) if not a.startswith("_")}
         assert api <= {"name", "bind", "report", "emit", "memory", "rng"}
+
+
+class InPlaceWriter(Strategy):
+    """Test-only: writes into every array it is handed, then passes the
+    payload on as if nothing happened."""
+
+    name = "in_place_writer"
+
+    def bind(self, rng):
+        super().bind(rng)
+        self.tried = self.landed = 0
+
+    def emit(self, view, task, true_output, destination):
+        parts = true_output if isinstance(true_output, tuple) else (true_output,)
+        for arr in parts:
+            if isinstance(arr, np.ndarray) and arr.size:
+                self.tried += 1
+                try:
+                    arr[(0,) * arr.ndim] += np.uint64(1)
+                    self.landed += 1
+                except ValueError:  # read-only payload
+                    pass
+        return true_output
+
+
+@pytest.mark.parametrize("app, size", [("matmul", dict(n=4, m=16)),
+                                       ("mergesort", dict(n=4, m=64))])
+def test_in_place_writes_reach_no_payload(app, size):
+    for seed in range(3):
+        cfg = ExperimentConfig(app=app, beta=0.1, **size)
+        rngs, graph, app_obj, oracle = _build_trial(cfg, seed)
+        # matmul A-stripes are views into the instance the oracle was built from
+        sources = [app_obj.source_payload(v) for v in graph.initial_tasks]
+        before = [p.copy() for p in sources]
+        writer = InPlaceWriter()
+        out = Engine(graph, app_obj, writer, beta=cfg.beta, rngs=rngs).run()
+        assert writer.tried > 0 and writer.landed == 0, f"seed {seed}"
+        assert out.terminated, f"seed {seed} hit the round cap"
+        assert oracle(out.target_output)
+        assert all(np.array_equal(p, q) for p, q in zip(sources, before))

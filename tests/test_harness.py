@@ -3,6 +3,7 @@ import gc
 import io
 import json
 
+import numpy as np
 import pytest
 
 from supsim.harness import (
@@ -14,6 +15,7 @@ from supsim.harness import (
     run_experiment,
     run_trial,
 )
+from supsim.matmul import random_instance, save_instance
 from supsim.protocol import Engine
 
 
@@ -157,18 +159,47 @@ def test_cli_bad_config_exits_2(capsys):
         (["--app", "mergesort", "--n", "3"], None, "got 3"),
         (["--app", "mergesort"], "-5\n", "input.txt:1"),
         (["--app", "matmul", "--n", "16"], "-5\n", "not a matrix-pair file"),
+        (["--app", "matmul", "--n", "16", "--m", "16"], (16, 2), "n=k^2=4"),
+        (["--app", "matmul", "--n", "4", "--m", "32"], (16, 2), "m=16, but"),
+        (["--app", "mergesort", "--n", "4", "--m", "1024"], "7\n" * 16,
+         "holds 16 values, but m=1024"),
     ],
     ids=["path-n0", "dag-m0", "matmul-m8-n16", "mergesort-n3", "negative-input",
-         "matmul-bad-input"],
+         "matmul-bad-input", "matmul-input-k", "matmul-input-m",
+         "mergesort-input-m"],
 )
 def test_cli_shape_and_input_errors_exit_2(tmp_path, capsys, args, text, names):
     if text is not None:
         path = tmp_path / "input.txt"
-        path.write_text(text)
+        _write_input(path, text)
         args = args + ["--input", str(path)]
     assert main(args + ["--trials", "1"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and names in err
+
+
+def _write_input(path, text):
+    """A values file from a string, or a matrix-pair file of shape (m, k)."""
+    if isinstance(text, str):
+        path.write_text(text)
+    else:
+        m, k = text
+        save_instance(path, random_instance(m, k, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("args, text", [
+    (["--app", "matmul", "--n", "4", "--m", "16"], (16, 2)),
+    (["--app", "mergesort", "--n", "2", "--m", "16"], "9\n3\n" * 8),
+], ids=["matmul", "mergesort"])
+def test_cli_input_file_matching_the_flags_runs(tmp_path, args, text):
+    path = tmp_path / "input.txt"
+    _write_input(path, text)
+    out_file = tmp_path / "out.json"
+    code = main(args + ["--input", str(path), "--trials", "2", "--beta", "0.1",
+                        "--strategy", "random_mix", "--out", str(out_file)])
+    assert code == 0
+    doc = json.loads(out_file.read_text())
+    assert all(t["output_ok"] for t in doc["trials"])
 
 
 def test_no_engine_outlives_its_trial():

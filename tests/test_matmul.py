@@ -14,7 +14,7 @@ from supsim.matmul import (
     save_instance,
     stripes,
 )
-from supsim.protocol import Engine, Reject
+from supsim.protocol import Engine, Reject, SupervisorState
 from supsim.rngs import TrialRngs, stream
 from supsim.taskgraph import TaskKind, assert_leveled, ceil_log2
 from supsim.verify import f_matmul
@@ -111,7 +111,7 @@ def test_graph_list_lengths_scale_with_c(log_k, c):
 
 
 def test_honest_run_matches_bigint_oracle():
-    app = make_matmul_app(8, 2, tau=8, seed=0)
+    app = make_matmul_app(8, 2, tau=8, rng=stream(0, 3))
     eng = Engine(app.graph, app, make_strategy("honest"), beta=0.0,
                  rngs=TrialRngs.from_seed(0))
     out = eng.run()
@@ -122,7 +122,7 @@ def test_honest_run_matches_bigint_oracle():
 
 
 def test_rounds_with_no_adversaries_equal_pipeline_depth():
-    app = make_matmul_app(8, 2, tau=4, seed=1)
+    app = make_matmul_app(8, 2, tau=4, rng=stream(1, 3))
     eng = Engine(app.graph, app, make_strategy("honest"), beta=0.0,
                  rngs=TrialRngs.from_seed(1))
     out = eng.run()
@@ -132,7 +132,7 @@ def test_rounds_with_no_adversaries_equal_pipeline_depth():
 @pytest.mark.parametrize("strat", sorted(builtin_strategies()))
 def test_all_strategies_yield_correct_product(strat):
     for seed in range(3):
-        app = make_matmul_app(8, 2, tau=10, seed=seed)
+        app = make_matmul_app(8, 2, tau=10, rng=stream(seed, 3))
         eng = Engine(
             app.graph,
             app,
@@ -148,7 +148,7 @@ def test_all_strategies_yield_correct_product(strat):
 
 
 def test_execute_rejects_corrupted_stripe():
-    app = make_matmul_app(8, 2, tau=4, seed=2)
+    app = make_matmul_app(8, 2, tau=4, rng=stream(2, 3))
     g = app.graph
     # second node of an input chain: feed it a perturbed stripe
     v = next(
@@ -160,18 +160,17 @@ def test_execute_rejects_corrupted_stripe():
     bad[0, 0] = (int(bad[0, 0]) + 1) % P
     from supsim.metrics import Metrics
 
-    report, outs = app.execute(v, [bad], stream(0, 1), Metrics())
+    report, outs = app.execute(v, [bad], SupervisorState(), stream(0, 1), Metrics())
     assert isinstance(report, Reject)
     assert report.tasks == frozenset(g.preds[v])
-    report2, _ = app.execute(v, [honest], stream(0, 1), Metrics())
+    report2, _ = app.execute(v, [honest], SupervisorState(), stream(0, 1),
+                             Metrics())
     assert not isinstance(report2, Reject)
 
 
 def test_supervisor_checks_output_digest_shape():
-    app = make_matmul_app(8, 2, tau=4, seed=3)
+    app = make_matmul_app(8, 2, tau=4, rng=stream(3, 3))
     g = app.graph
-    from supsim.protocol import SupervisorState
-
     sup = SupervisorState()
     v_out = next(v for v in range(g.n) if g.meta[v]["role"] == "output")
     v_in = next(v for v in range(g.n) if g.meta[v]["role"] == "input")
@@ -184,7 +183,7 @@ def test_supervisor_checks_output_digest_shape():
 
 
 def test_payload_units_count_field_elements():
-    app = make_matmul_app(8, 2, tau=4, seed=4)
+    app = make_matmul_app(8, 2, tau=4, rng=stream(4, 3))
     stripe = app.source_payload(app.graph.initial_tasks[0])
     assert app.payload_size(stripe) == 4 * 8
     triple = (stripe, stripe.T.copy(), np.zeros((4, 4), dtype=np.uint64))
@@ -192,9 +191,9 @@ def test_payload_units_count_field_elements():
 
 
 def test_make_matmul_app_is_seed_deterministic():
-    a1 = make_matmul_app(8, 2, tau=4, seed=9)
-    a2 = make_matmul_app(8, 2, tau=4, seed=9)
+    a1 = make_matmul_app(8, 2, tau=4, rng=stream(9, 3))
+    a2 = make_matmul_app(8, 2, tau=4, rng=stream(9, 3))
     assert np.array_equal(a1.instance.a, a2.instance.a)
     assert np.array_equal(a1.instance.b, a2.instance.b)
-    a3 = make_matmul_app(8, 2, tau=4, seed=10)
+    a3 = make_matmul_app(8, 2, tau=4, rng=stream(10, 3))
     assert not np.array_equal(a3.instance.a, a1.instance.a)

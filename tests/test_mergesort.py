@@ -110,7 +110,7 @@ def _run(app, strategy, seed, beta, **kw):
 
 
 def test_honest_run_sorts():
-    app = make_mergesort_app(32, 4, seed=0)
+    app = make_mergesort_app(32, 4, rng=stream(0, 3))
     out = _run(app, "honest", 0, 0.0)
     assert out.terminated
     assert out.rounds_used == app.graph.span + 1
@@ -137,7 +137,7 @@ def test_all_equal_values_sort_correctly():
 @pytest.mark.parametrize("strat", sorted(builtin_strategies()))
 def test_all_strategies_yield_sorted_output(strat):
     for seed in range(3):
-        app = make_mergesort_app(256, 8, seed=seed)
+        app = make_mergesort_app(256, 8, rng=stream(seed, 3))
         out = _run(app, strat, seed, 0.25, check_closure=True)
         assert out.terminated, f"{strat} seed {seed} hit the round cap"
         assert np.array_equal(
@@ -149,7 +149,7 @@ def test_count_cheat_is_detected_and_repaired():
     # with a high adversary rate the cheat engages; the run must still
     # produce a fully sorted output, and some rejection must have fired
     kinds_seen = []
-    app = make_mergesort_app(256, 8, seed=5)
+    app = make_mergesort_app(256, 8, rng=stream(5, 3))
     eng = Engine(
         app.graph, app, make_strategy("count_cheat"), beta=0.4,
         rngs=TrialRngs.from_seed(5),
@@ -162,7 +162,7 @@ def test_count_cheat_is_detected_and_repaired():
 
 
 def test_execute_rejects_tampered_runs():
-    app = make_mergesort_app(32, 4, seed=7)
+    app = make_mergesort_app(32, 4, rng=stream(7, 3))
     g = app.graph
     v = next(
         v for v in range(g.n)
@@ -170,12 +170,14 @@ def test_execute_rejects_tampered_runs():
     )
     pred = g.preds[v][0]
     honest_rep, honest_out = app.execute(
-        pred, [app.source_payload(pred)], stream(1, 1), Metrics()
+        pred, [app.source_payload(pred)], SupervisorState(), stream(1, 1),
+        Metrics(),
     )
     assert isinstance(honest_rep, Done)
 
     def run_on(items):
-        rep, _ = app.execute(v, [items], stream(1, 1), Metrics())
+        rep, _ = app.execute(v, [items], SupervisorState(), stream(1, 1),
+                             Metrics())
         return rep
 
     assert isinstance(run_on(honest_out), Done)
@@ -193,7 +195,7 @@ def test_execute_rejects_tampered_runs():
 
 
 def test_supervisor_enforces_count_conservation():
-    app = make_mergesort_app(32, 4, seed=8)
+    app = make_mergesort_app(32, 4, rng=stream(8, 3))
     g = app.graph
     sup = SupervisorState()
     split = next(v for v in range(g.n) if g.meta[v]["role"] == "split0")
@@ -216,7 +218,7 @@ def test_supervisor_enforces_count_conservation():
 
 
 def test_truncate_and_forge_helpers():
-    app = make_mergesort_app(32, 4, seed=9)
+    app = make_mergesort_app(32, 4, rng=stream(9, 3))
     items = app.source_payload(app.graph.initial_tasks[0])
     assert app.truncate_payload(items, 2).shape == (6, 4)
     assert app.truncate_payload(items[:1], 5).shape == (0, 4)

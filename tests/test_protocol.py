@@ -205,16 +205,17 @@ def test_path_silent_tail_is_resampled_without_rollback():
 
 
 def test_path_adversarial_target_never_terminates():
-    eng = _engine(build_path(3), Strategy(), target_always_rejects=True)
-    out = eng.run(round_cap=50)
+    eng = _engine(build_path(3), Strategy(), target_always_rejects=True,
+                  round_cap=50)
+    out = eng.run()
     assert not out.terminated
     assert out.rounds_used == 50
     assert out.target_output is None
 
 
 def test_round_cap_reports_unfinished_run():
-    eng = _engine(build_path(10), Strategy())
-    out = eng.run(round_cap=4)
+    eng = _engine(build_path(10), Strategy(), round_cap=4)
+    out = eng.run()
     assert not out.terminated
     assert out.rounds_used == 4
 
@@ -223,7 +224,7 @@ def test_round_cap_reports_unfinished_run():
 
 
 def test_dag_runs_level_parallel():
-    eng = _engine(_diamond(), Strategy(), mode="dag")
+    eng = _engine(_diamond(), Strategy())
     out = eng.run()
     assert out.terminated
     assert out.rounds_used == 3  # levels 0,1 then the final task delivers inline
@@ -241,7 +242,7 @@ def test_dag_reject_prunes_ancestor_chain_and_recovers():
             return honest_report
 
     # make exactly the worker at the final task adversarial once
-    eng = _engine(_diamond(), RejectOnce(), script=[True, True, True, False], mode="dag")
+    eng = _engine(_diamond(), RejectOnce(), script=[True, True, True, False])
     out = eng.run()
     assert out.terminated
     # r1 {0}, r2 {1,2}, r3 {3} rejects both preds, r4 {1,2}, r5 {3}
@@ -257,7 +258,6 @@ def test_dag_closure_holds_after_every_round():
             make_strategy("random_mix"),
             beta=0.25,
             seed=seed,
-            mode="dag",
             check_closure=True,
         )
         out = eng.run()
@@ -267,7 +267,7 @@ def test_dag_closure_holds_after_every_round():
 
 def test_dag_trace_records_rounds():
     rows = []
-    eng = _engine(_diamond(), Strategy(), mode="dag", trace_sink=rows.append)
+    eng = _engine(_diamond(), Strategy(), trace_sink=rows.append)
     eng.run()
     assert [r["round"] for r in rows] == [0, 1, 2]
     assert rows[0]["scheduled"] == [0]
@@ -276,15 +276,14 @@ def test_dag_trace_records_rounds():
     assert set(rows[0]) == {"round", "scheduled", "reports", "f_size"}
 
 
-def test_engine_rejects_bad_beta_and_modes():
-    g = build_path(2)
-    with pytest.raises(ValueError):
-        _engine(g, Strategy(), beta=1.0)
-    with pytest.raises(ValueError):
-        _engine(g, Strategy(), mode="ring")
-    with pytest.raises(ValueError):
-        Engine(_diamond(), FlagApp(_diamond()), Strategy(), beta=0.0,
-               rngs=TrialRngs.from_seed(0), mode="path")
+def test_engine_rejects_bad_beta_and_round_cap():
+    for kw in (dict(beta=1.0), dict(beta=-0.1)):
+        with pytest.raises(ValueError, match="beta"):
+            _engine(build_path(2), Strategy(), **kw)
+    # 0 does not ask for the default cap
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="round cap"):
+            _engine(build_path(2), Strategy(), round_cap=cap)
 
 
 # -- supervisor stays data-agnostic -----------------------------------------------
@@ -292,7 +291,7 @@ def test_engine_rejects_bad_beta_and_modes():
 
 def test_supervisor_state_holds_only_metadata():
     g = random_leveled_dag(3, 6, np.random.default_rng(2))
-    eng = _engine(g, make_strategy("random_mix"), beta=0.3, seed=7, mode="dag")
+    eng = _engine(g, make_strategy("random_mix"), beta=0.3, seed=7)
     eng.run()
     sup = eng.sup
     assert all(isinstance(v, int) for v in sup.f)
