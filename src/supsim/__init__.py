@@ -18,8 +18,6 @@ from .protocol import (
     Silent,
     SupervisorState,
     WorkerSampler,
-    apply_report,
-    wavefront,
 )
 from .rngs import TrialRngs
 from .taskgraph import (
@@ -27,12 +25,8 @@ from .taskgraph import (
     NotADagError,
     TaskGraph,
     TaskKind,
-    assign_levels,
     build_path,
-    extend_with_io_lists,
     random_leveled_dag,
-    to_leveled,
-    topological_order,
 )
 
 __version__ = "0.1.0"
@@ -57,16 +51,10 @@ __all__ = [
     "TaskKind",
     "TrialRngs",
     "WorkerSampler",
-    "apply_report",
-    "assign_levels",
     "build_path",
     "builtin_strategies",
     "expected_resamples",
-    "extend_with_io_lists",
     "make_strategy",
     "random_leveled_dag",
-    "to_leveled",
-    "topological_order",
-    "wavefront",
     "__version__",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .metrics import Metrics
 from .protocol import Done, Reject, Silent, SupervisorState, read_only
-from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2
+from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2, list_length
 from .verify import (
     MODULUS,
     digest,
@@ -141,18 +141,15 @@ def load_instance(path) -> MatmulInstance:
 def build_matmul_graph(k: int, c: float = 1.0) -> TaskGraph:
     """The blocked-multiplication task graph for blocking factor k.
 
-    Per stripe: a forwarding list of ceil(c*log2(n)) tasks, then a
+    Per stripe: a forwarding list of ceil(c*log2(k^2)) tasks, then a
     complete binary broadcast tree with k leaves.  Multiplication task
     (i,j) reads leaf j of A-tree i and leaf i of B-tree j.  Each block
     then crosses its own forwarding list of the same length before
     reaching the target.
     """
     _validate_k(k)
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    n = k * k
+    list_len = list_length(k * k, c)
     log2k = k.bit_length() - 1
-    list_len = math.ceil(c * math.log2(n))
 
     b = GraphBuilder()
     sids = [("A", i) for i in range(k)] + [("B", j) for j in range(k)]
@@ -209,7 +206,7 @@ def build_matmul_graph(k: int, c: float = 1.0) -> TaskGraph:
                 b.add_edge(prev, tid)
                 prev = tid
 
-    g = b.freeze(require_leveled=True)
+    g = b.freeze()
     assert g.max_degree <= 2
     return g
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .metrics import Metrics
 from .protocol import TARGET, Done, Reject, Silent, SupervisorState, read_only
-from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2
+from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2, list_length
 from .verify import SigningKey, sign_items, verify_items
 
 
@@ -67,12 +67,10 @@ def build_mergesort_graph(n: int, m: int, c: float = 1.0) -> TaskGraph:
     log2 of the block size.
     """
     _validate_params(m, n)
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
     w = m // n
     big_s = (w).bit_length() - 1  # log2 of the block size
     log2n = n.bit_length() - 1
-    chain_len = max(1, math.ceil(c * log2n))
+    chain_len = list_length(n, c)
     levels_per_task = max(1, math.ceil(big_s / chain_len))
 
     def s_of(t: int) -> int:
@@ -140,7 +138,7 @@ def build_mergesort_graph(n: int, m: int, c: float = 1.0) -> TaskGraph:
             b.add_edge(prev, tid)
             prev = tid
 
-    g = b.freeze(require_leveled=True)
+    g = b.freeze()
     assert g.max_degree <= 2
     return g
 

@@ -83,7 +83,6 @@ class SupervisorState:
     """Everything the supervisor knows.  No payload data, ever."""
 
     f: set[int] = field(default_factory=set)
-    last_worker: dict[int, int] = field(default_factory=dict)
     expected_counts: dict[tuple[int, int], int] = field(default_factory=dict)
     digests: dict[int, bytes] = field(default_factory=dict)
     round: int = 0
@@ -91,54 +90,9 @@ class SupervisorState:
 
 @dataclass
 class RunOutcome:
-    rounds_used: int
     terminated: bool
     metrics: Metrics
     target_output: Any
-
-
-# ---------------------------------------------------------------------------
-# Pure definitions (the engine conforms to these; tests compare against
-# brute-force oracles)
-
-
-def is_ancestor_closed(g: TaskGraph, f: set[int]) -> bool:
-    return all(p in f for v in f for p in g.preds[v])
-
-
-def wavefront(g: TaskGraph, f: set[int]) -> set[int]:
-    """Tasks outside f whose predecessors all lie in f."""
-    if not is_ancestor_closed(g, f):
-        raise AssertionError("finished set is not ancestor-closed")
-    return {
-        v for v in range(g.n)
-        if v not in f and all(p in f for p in g.preds[v])
-    }
-
-
-def apply_report(g: TaskGraph, f: set[int], v: int, report: Report) -> set[int]:
-    """Finished-set transition for one report from the worker at task v.
-
-    Done adds v.  Silent changes nothing.  Reject(R) removes every named
-    task together with every finished task reachable from one, which
-    restores ancestor closure in a single sweep.  A Reject naming
-    non-predecessors of v is adversarial garbage and is treated as Silent.
-    """
-    if isinstance(report, Done):
-        return f | {v}
-    if isinstance(report, Reject):
-        if not report.tasks <= set(g.preds[v]):
-            return set(f)
-        doomed: set[int] = set()
-        stack = [w for w in report.tasks if w in f]
-        while stack:
-            u = stack.pop()
-            if u in doomed:
-                continue
-            doomed.add(u)
-            stack.extend(x for x in g.succs[u] if x in f and x not in doomed)
-        return f - doomed
-    return set(f)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +108,10 @@ def check_beta(beta: float) -> None:
 class WorkerSampler:
     """Black-box worker pool.
 
-    Each draw hands out a fresh worker id (never reused) that is
-    adversarial with probability beta, decided at sampling time and fixed
-    for that worker's lifetime.  Draws are buffered in blocks so the
-    per-round cost is one array index.
+    Each draw hands out a fresh worker, never one seen before, and says
+    whether it is honest: it is adversarial with probability beta, decided
+    at sampling time and fixed for that worker's lifetime.  Draws are
+    buffered in blocks so the per-round cost is one array index.
     """
 
     def __init__(self, beta: float, rng: np.random.Generator) -> None:
@@ -166,17 +120,14 @@ class WorkerSampler:
         self.rng = rng
         self._buf = np.empty(0)
         self._pos = 0
-        self._next_id = 0
 
-    def draw(self) -> tuple[int, bool]:
+    def draw(self) -> bool:
         if self._pos >= self._buf.shape[0]:
             self._buf = self.rng.random(4096)
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
-        wid = self._next_id
-        self._next_id += 1
-        return wid, bool(u >= self.beta)
+        return bool(u >= self.beta)
 
 
 class AdversaryView:
@@ -207,9 +158,6 @@ class AdversaryView:
     def finished(self) -> frozenset[int]:
         return frozenset(self._sup.f)
 
-    def is_final(self, task: int) -> bool:
-        return not self._graph.succs[task]
-
 
 # ---------------------------------------------------------------------------
 # Engine
@@ -227,7 +175,6 @@ class Engine:
         rngs: TrialRngs,
         round_cap: int | None = None,
         target_always_rejects: bool = False,
-        check_closure: bool = False,
         trace_sink: Callable[[dict], None] | None = None,
     ) -> None:
         if round_cap is None:
@@ -240,7 +187,6 @@ class Engine:
         self.rngs = rngs
         self.round_cap = round_cap
         self.target_always_rejects = target_always_rejects
-        self.check_closure = check_closure
         self.trace_sink = trace_sink
 
         n = graph.n
@@ -267,8 +213,7 @@ class Engine:
     # -- sampling ----------------------------------------------------------
 
     def _sample_worker(self, task: int) -> bool:
-        wid, honest = self.sampler.draw()
-        self.sup.last_worker[task] = wid
+        honest = self.sampler.draw()
         self.worker_honest[task] = honest
         return honest
 
@@ -338,6 +283,8 @@ class Engine:
             self.app.target_drop(v)
 
     def _prune(self, seeds: set[int]) -> None:
+        """Unfinish every finished seed together with every finished task
+        reachable from one, which restores ancestor closure in one sweep."""
         doomed: set[int] = set()
         stack = [w for w in seeds if self._in_f[w]]
         while stack:
@@ -400,6 +347,7 @@ class Engine:
 
         seeds: set[int] = set()
         for v, report in rejects:
+            # a Reject naming a non-predecessor is treated as Silent
             if report.tasks <= set(g.preds[v]):
                 seeds |= report.tasks
         if seeds:
@@ -479,8 +427,6 @@ class Engine:
         trace = self._step_path() if self._is_path else self._step_dag()
         self.sup.round += 1
         self.metrics.rounds = self.sup.round
-        if self.check_closure and not is_ancestor_closed(self.graph, self.sup.f):
-            raise AssertionError("finished set lost ancestor closure")
         if self.trace_sink is not None:
             self.trace_sink(trace)
         return trace
@@ -489,7 +435,6 @@ class Engine:
         while not self.terminated and self.sup.round < self.round_cap:
             self.step_round()
         return RunOutcome(
-            rounds_used=self.sup.round,
             terminated=self.terminated,
             metrics=self.metrics,
             target_output=self.app.result() if self.terminated else None,

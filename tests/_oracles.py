@@ -36,6 +36,30 @@ def brute_prune(succs: dict[int, tuple], finished: set[int], seeds: set[int]) ->
     return set(seeds) | (reach & finished)
 
 
+def run_audited(engine):
+    """Run `engine` to its end one `step_round()` at a time and audit its
+    own scheduling after every round: the finished set stays
+    ancestor-closed, and outside delivery rounds the tasks the round
+    scheduled are exactly `brute_wavefront` of the finished set it started
+    from.  Returns the engine's `RunOutcome`."""
+    g = engine.graph
+    preds = {v: g.preds[v] for v in range(g.n)}
+    if engine.trace_sink is None:
+        engine.trace_sink = lambda record: None  # step_round traces only with a sink
+    while not engine.terminated and engine.sup.round < engine.round_cap:
+        before = set(engine.sup.f)
+        record = engine.step_round()
+        if record["reports"] != ["Delivery"]:
+            assert set(record["scheduled"]) == brute_wavefront(preds, before), (
+                f"round {record['round']} scheduled {sorted(record['scheduled'])}"
+            )
+        after = engine.sup.f
+        assert all(p in after for v in after for p in preds[v]), (
+            f"finished set lost ancestor closure in round {record['round']}"
+        )
+    return engine.run()  # the loop above reached its end; this only reports
+
+
 def longest_path_levels(preds: dict[int, tuple]) -> dict[int, int]:
     levels: dict[int, int] = {}
 

@@ -44,9 +44,6 @@ class FakeView:
     def round(self):
         return self._round
 
-    def is_final(self, task):
-        return not self._graph.succs[task]
-
 
 def _bound(cls, seed=0):
     s = cls()
@@ -146,7 +143,7 @@ def test_count_cheat_shifts_counts_and_truncates_matching_stream():
     b.add_edge(src, hi)
     b.add_edge(lo, sink)
     b.add_edge(hi, sink)
-    g = b.freeze(require_leveled=True)
+    g = b.freeze()
     app = TwoWayApp(g)
     view = FakeView(g, app)
     s = _bound(CountCheat)

@@ -19,7 +19,7 @@ from supsim.rngs import TrialRngs, stream
 from supsim.taskgraph import TaskKind, assert_leveled, ceil_log2
 from supsim.verify import f_matmul
 
-from _oracles import P, py_matmul_mod
+from _oracles import P, py_matmul_mod, run_audited
 
 
 def _inst(m=8, k=2, seed=0):
@@ -126,7 +126,7 @@ def test_rounds_with_no_adversaries_equal_pipeline_depth():
     eng = Engine(app.graph, app, make_strategy("honest"), beta=0.0,
                  rngs=TrialRngs.from_seed(1))
     out = eng.run()
-    assert out.rounds_used == app.graph.span + 1
+    assert out.metrics.rounds == app.graph.span + 1
 
 
 @pytest.mark.parametrize("strat", sorted(builtin_strategies()))
@@ -139,9 +139,8 @@ def test_all_strategies_yield_correct_product(strat):
             make_strategy(strat),
             beta=0.25,
             rngs=TrialRngs.from_seed(seed),
-            check_closure=True,
         )
-        out = eng.run()
+        out = run_audited(eng)
         assert out.terminated, f"{strat} seed {seed} hit the round cap"
         expect = f_matmul(app.instance.a, app.instance.b)
         assert np.array_equal(out.target_output, expect), f"{strat} seed {seed}"

@@ -17,7 +17,7 @@ from supsim.protocol import Done, Engine, Reject, SupervisorState
 from supsim.rngs import TrialRngs, stream
 from supsim.taskgraph import assert_leveled
 
-from _oracles import in_cyclic_oracle
+from _oracles import in_cyclic_oracle, run_audited
 
 
 def test_bit_reversal_frozen_values():
@@ -101,19 +101,22 @@ def test_cyclic_range_none_accepts_everything():
     assert in_cyclic_range(vals, idxs, None).all()
 
 
-def _run(app, strategy, seed, beta, **kw):
-    eng = Engine(
+def _engine(app, strategy, seed, beta):
+    return Engine(
         app.graph, app, make_strategy(strategy), beta=beta,
-        rngs=TrialRngs.from_seed(seed), **kw
+        rngs=TrialRngs.from_seed(seed),
     )
-    return eng.run()
+
+
+def _run(app, strategy, seed, beta):
+    return _engine(app, strategy, seed, beta).run()
 
 
 def test_honest_run_sorts():
     app = make_mergesort_app(32, 4, rng=stream(0, 3))
     out = _run(app, "honest", 0, 0.0)
     assert out.terminated
-    assert out.rounds_used == app.graph.span + 1
+    assert out.metrics.rounds == app.graph.span + 1
     assert np.array_equal(out.target_output, np.sort(app.input_values))
 
 
@@ -138,7 +141,7 @@ def test_all_equal_values_sort_correctly():
 def test_all_strategies_yield_sorted_output(strat):
     for seed in range(3):
         app = make_mergesort_app(256, 8, rng=stream(seed, 3))
-        out = _run(app, strat, seed, 0.25, check_closure=True)
+        out = run_audited(_engine(app, strat, seed, 0.25))
         assert out.terminated, f"{strat} seed {seed} hit the round cap"
         assert np.array_equal(
             out.target_output, np.sort(app.input_values)

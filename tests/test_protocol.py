@@ -11,29 +11,33 @@ from supsim.adversary import (
     Strategy,
     make_strategy,
 )
-from supsim.protocol import (
-    SOURCE,
-    TARGET,
-    Done,
-    Engine,
-    FlagApp,
-    Reject,
-    Silent,
-    WorkerSampler,
-    apply_report,
-    is_ancestor_closed,
-    wavefront,
-)
+from supsim.protocol import Engine, FlagApp, Reject, WorkerSampler
 from supsim.rngs import TrialRngs
 from supsim.taskgraph import (
     GraphBuilder,
     TaskKind,
     build_path,
     random_leveled_dag,
-    topological_order,
 )
 
-from _oracles import brute_prune, brute_wavefront
+from _oracles import brute_prune, brute_wavefront, run_audited
+
+
+class RejectOnce(Strategy):
+    """The first adversarial worker rejects `named`, or else its task's
+    predecessors; every later one acts honestly."""
+
+    name = "reject_once"
+
+    def __init__(self, named=None):
+        super().__init__()
+        self.named = named
+
+    def report(self, view, task, honest_report):
+        if self.memory.get("fired"):
+            return honest_report
+        self.memory["fired"] = True
+        return Reject(view.graph.preds[task] if self.named is None else self.named)
 
 
 class ScriptedSampler:
@@ -41,13 +45,9 @@ class ScriptedSampler:
 
     def __init__(self, script):
         self.script = list(script)
-        self._next_id = 0
 
     def draw(self):
-        honest = self.script.pop(0) if self.script else True
-        wid = self._next_id
-        self._next_id += 1
-        return wid, honest
+        return self.script.pop(0) if self.script else True
 
 
 def _engine(graph, strategy, script=None, beta=0.0, seed=0, **kw):
@@ -68,70 +68,56 @@ def _diamond():
     b.add_edge(a, y)
     b.add_edge(x, d)
     b.add_edge(y, d)
-    return b.freeze(require_leveled=True)
+    return b.freeze()
 
 
-# -- pure transition functions ------------------------------------------------
+def _engine_wavefront(eng):
+    """The wavefront the engine would schedule, read off its `_missing`."""
+    return {
+        v for v in range(eng.graph.n)
+        if not eng._in_f[v] and eng._missing[v] == 0
+    }
+
+
+# -- the engine's own wavefront and prune ----------------------------------------
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 18), st.integers(0, 30), st.data())
 @settings(max_examples=80, deadline=None)
-def test_apply_report_reject_matches_reachability_oracle(seed, n_tasks, prefix, data):
+def test_prune_matches_reachability_oracle(seed, n_tasks, prefix, data):
     rng = np.random.default_rng(seed)
     g = random_leveled_dag(min(n_tasks, 6), max(1, n_tasks // 3), rng)
-    order = topological_order(g)
-    f = set(order[: min(prefix, g.n)])
-    candidates = [v for v in range(g.n) if g.preds[v]]
-    if not candidates:
-        return
-    v = data.draw(st.sampled_from(candidates))
-    named = data.draw(st.sets(st.sampled_from(list(g.preds[v]))))
-    got = apply_report(g, f, v, Reject(named))
+    preds = {u: g.preds[u] for u in range(g.n)}
     succs = {u: g.succs[u] for u in range(g.n)}
-    assert got == f - brute_prune(succs, f, set(named))
-    assert is_ancestor_closed(g, got)
+    eng = _engine(g, Strategy())
+    # a prefix in (level, id) order is ancestor-closed
+    f = set(sorted(range(g.n), key=lambda u: (g.levels[u], u))[:prefix])
+    for u in f:
+        eng._f_add(u)
+    assert _engine_wavefront(eng) == brute_wavefront(preds, f)
+    v = data.draw(st.sampled_from([u for u in range(g.n) if g.preds[u]]))
+    named = data.draw(st.sets(st.sampled_from(list(g.preds[v]))))
+    eng._prune(set(named))
+    got = f - brute_prune(succs, f, set(named))
+    assert eng.sup.f == got
+    assert _engine_wavefront(eng) == brute_wavefront(preds, got)
 
 
-def test_apply_report_done_and_silent():
-    g = build_path(3)
-    assert apply_report(g, {0}, 1, Done(None)) == {0, 1}
-    assert apply_report(g, {0}, 1, Silent) == {0}
-
-
-def test_apply_report_ignores_rejects_naming_non_predecessors():
-    g = _diamond()
-    f = {0, 1, 2}
-    # task 3's preds are {1, 2}; naming 0 is garbage and must change nothing
-    assert apply_report(g, f, 3, Reject({0})) == f
-    assert apply_report(g, f, 3, Reject({1, 0})) == f
-    assert apply_report(g, f, 3, Reject({1})) == {0, 2}
-
-
-def test_wavefront_requires_closed_set():
-    g = build_path(3)
-    with pytest.raises(AssertionError):
-        wavefront(g, {2})
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.integers(0, 24))
-@settings(max_examples=80, deadline=None)
-def test_wavefront_matches_definition_on_random_dags(seed, n_tasks, prefix):
+@given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.floats(0.0, 0.4))
+@settings(max_examples=40, deadline=None)
+def test_wavefront_matches_definition_on_random_dags(seed, n_tasks, beta):
     rng = np.random.default_rng(seed)
     g = random_leveled_dag(min(4, n_tasks), max(1, n_tasks // 2), rng)
-    f = set(topological_order(g)[: min(prefix, g.n)])
-    preds = {v: g.preds[v] for v in range(g.n)}
-    assert wavefront(g, f) == brute_wavefront(preds, f)
+    eng = _engine(g, make_strategy("random_mix"), beta=beta, seed=seed % 1000)
+    assert run_audited(eng).terminated
 
 
 # -- worker pool ---------------------------------------------------------------
 
 
-def test_sampler_ids_are_fresh_and_monotone():
+def test_sampler_honest_fraction_is_one_minus_beta():
     s = WorkerSampler(0.5, np.random.default_rng(0))
-    draws = [s.draw() for _ in range(5000)]
-    ids = [wid for wid, _ in draws]
-    assert ids == list(range(5000))
-    frac_honest = sum(h for _, h in draws) / 5000
+    frac_honest = sum(s.draw() for _ in range(5000)) / 5000
     assert 0.45 < frac_honest < 0.55
 
 
@@ -148,7 +134,7 @@ def test_path_no_adversaries_runs_in_n_plus_one_rounds():
     eng = _engine(build_path(3), Strategy())
     out = eng.run()
     assert out.terminated
-    assert out.rounds_used == 4
+    assert out.metrics.rounds == 4
     assert out.metrics.source_sends == 1
     assert out.metrics.target_receives == 1
     assert out.target_output == {2: True}
@@ -160,7 +146,7 @@ def test_path_reject_rolls_back_one_position():
     out = eng.run()
     assert out.terminated
     #  r1 v0 Done, r2 v1 Reject -> v0 pruned, r3 v0, r4 v1, r5 v2, r6 delivery
-    assert out.rounds_used == 6
+    assert out.metrics.rounds == 6
     assert out.metrics.source_sends == 2
     assert out.metrics.target_receives == 1
 
@@ -170,7 +156,7 @@ def test_path_reject_at_first_position_makes_source_resend():
     out = eng.run()
     assert out.terminated
     # r1 v0 Reject (stays), r2 v0, r3 v1, r4 v2, r5 delivery
-    assert out.rounds_used == 5
+    assert out.metrics.rounds == 5
     assert out.metrics.source_sends == 2
 
 
@@ -179,7 +165,7 @@ def test_path_corrupt_output_is_caught_by_next_worker():
     out = eng.run()
     assert out.terminated
     # corrupt v0 Dones; honest v1 sees the bad payload and rejects it
-    assert out.rounds_used == 6
+    assert out.metrics.rounds == 6
     assert out.metrics.source_sends == 2
     assert out.target_output == {2: True}
 
@@ -190,7 +176,7 @@ def test_path_corrupt_delivery_forces_tail_rerun():
     assert out.terminated
     # r1 v0, r2 v1, r3 v2 (adversarial, honest until delivery), r4 delivery
     # rejected by target, r5 fresh v2, r6 delivery accepted
-    assert out.rounds_used == 6
+    assert out.metrics.rounds == 6
     assert out.metrics.target_receives == 2
     assert out.target_output == {2: True}
 
@@ -200,7 +186,7 @@ def test_path_silent_tail_is_resampled_without_rollback():
     out = eng.run()
     assert out.terminated
     # the silent worker at v2 burns one round; no finished work is lost
-    assert out.rounds_used == 5
+    assert out.metrics.rounds == 5
     assert out.metrics.source_sends == 1
 
 
@@ -209,7 +195,7 @@ def test_path_adversarial_target_never_terminates():
                   round_cap=50)
     out = eng.run()
     assert not out.terminated
-    assert out.rounds_used == 50
+    assert out.metrics.rounds == 50
     assert out.target_output is None
 
 
@@ -217,7 +203,7 @@ def test_round_cap_reports_unfinished_run():
     eng = _engine(build_path(10), Strategy(), round_cap=4)
     out = eng.run()
     assert not out.terminated
-    assert out.rounds_used == 4
+    assert out.metrics.rounds == 4
 
 
 # -- dag mode ---------------------------------------------------------------------
@@ -227,40 +213,61 @@ def test_dag_runs_level_parallel():
     eng = _engine(_diamond(), Strategy())
     out = eng.run()
     assert out.terminated
-    assert out.rounds_used == 3  # levels 0,1 then the final task delivers inline
+    assert out.metrics.rounds == 3  # levels 0,1 then the final task delivers inline
     assert out.target_output == {3: True}
 
 
 def test_dag_reject_prunes_ancestor_chain_and_recovers():
-    class RejectOnce(Strategy):
-        name = "reject_once"
-
-        def report(self, view, task, honest_report):
-            if not self.memory.get("fired"):
-                self.memory["fired"] = True
-                return Reject(view.graph.preds[task])
-            return honest_report
-
     # make exactly the worker at the final task adversarial once
     eng = _engine(_diamond(), RejectOnce(), script=[True, True, True, False])
     out = eng.run()
     assert out.terminated
     # r1 {0}, r2 {1,2}, r3 {3} rejects both preds, r4 {1,2}, r5 {3}
-    assert out.rounds_used == 5
+    assert out.metrics.rounds == 5
     assert out.target_output == {3: True}
+
+
+def test_dag_reject_naming_a_non_predecessor_is_silent():
+    rows = []
+    eng = _engine(_diamond(), RejectOnce({0}), script=[True, True, True, False],
+                  trace_sink=rows.append)
+    out = eng.run()
+    assert out.terminated
+    # r1 {0}, r2 {1,2}, r3 {3} names 0 (not a pred of 3): nothing pruned,
+    # r4 {3} with a fresh worker delivers
+    assert rows[2]["reports"] == ["Reject"]
+    assert rows[2]["f_size"] == 3
+    assert out.metrics.rounds == 4
+    assert out.metrics.source_sends == 1
+    assert out.target_output == {3: True}
+
+
+def test_path_reject_naming_a_non_predecessor_is_silent():
+    rows = []
+    eng = _engine(build_path(3), RejectOnce({0}), script=[True, True, False],
+                  trace_sink=rows.append)
+    out = eng.run()
+    assert out.terminated
+    # r1 v0, r2 v1, r3 v2 names v0 (not its pred): the pointer stays,
+    # r4 v2 with a fresh worker, r5 delivery
+    assert [r["scheduled"] for r in rows] == [[0], [1], [2], [2], []]
+    assert rows[2]["f_size"] == 2
+    assert out.metrics.rounds == 5
+    assert out.metrics.source_sends == 1
+    assert out.target_output == {2: True}
+
+
+def test_path_schedules_the_wavefront():
+    for seed in range(10):
+        eng = _engine(build_path(30), make_strategy("random_mix"), beta=0.25, seed=seed)
+        assert run_audited(eng).terminated, f"seed {seed} hit the round cap"
 
 
 def test_dag_closure_holds_after_every_round():
     for seed in range(10):
         g = random_leveled_dag(4, 8, np.random.default_rng(seed))
-        eng = _engine(
-            g,
-            make_strategy("random_mix"),
-            beta=0.25,
-            seed=seed,
-            check_closure=True,
-        )
-        out = eng.run()
+        eng = _engine(g, make_strategy("random_mix"), beta=0.25, seed=seed)
+        out = run_audited(eng)
         assert out.terminated, f"seed {seed} hit the round cap"
         assert out.target_output == {v: True for v in g.final_tasks}
 
@@ -295,18 +302,8 @@ def test_supervisor_state_holds_only_metadata():
     eng.run()
     sup = eng.sup
     assert all(isinstance(v, int) for v in sup.f)
-    assert all(
-        isinstance(k, int) and isinstance(w, int) for k, w in sup.last_worker.items()
-    )
     assert all(isinstance(c, int) for c in sup.expected_counts.values())
     assert all(isinstance(d, bytes) for d in sup.digests.values())
-
-
-def test_worker_ids_are_never_reused_across_reassignments():
-    eng = _engine(build_path(4), AlwaysReject(), beta=0.4, seed=3)
-    eng.run()
-    ids = list(eng.sup.last_worker.values())
-    assert len(ids) == len(set(ids))
 
 
 # -- determinism -------------------------------------------------------------------
@@ -316,7 +313,7 @@ def test_same_seed_reproduces_run_exactly():
     def go():
         eng = _engine(build_path(40), make_strategy("random_mix"), beta=0.2, seed=11)
         out = eng.run()
-        return out.rounds_used, out.metrics.as_row()
+        return out.metrics.rounds, out.metrics.as_row()
 
     assert go() == go()
 

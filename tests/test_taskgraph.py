@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supsim.matmul import build_matmul_graph
+from supsim.mergesort import build_mergesort_graph
 from supsim.taskgraph import (
     GraphBuilder,
     NotADagError,
@@ -12,13 +14,11 @@ from supsim.taskgraph import (
     assert_leveled,
     build_path,
     ceil_log2,
-    extend_with_io_lists,
+    list_length,
     random_leveled_dag,
-    to_leveled,
-    topological_order,
 )
 
-from _oracles import brute_wavefront, longest_path_levels
+from _oracles import longest_path_levels
 
 
 def test_ceil_log2_small_values():
@@ -27,10 +27,30 @@ def test_ceil_log2_small_values():
         ceil_log2(0)
 
 
+def test_list_length_is_ceil_c_log2_n():
+    assert [list_length(n, 1.0) for n in (2, 4, 16, 64)] == [1, 2, 4, 6]
+    assert [list_length(n, c) for n, c in ((16, 0.5), (16, 1.1), (4, 2.0))] == [2, 5, 4]
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="c must be positive"):
+            list_length(4, c)
+
+
+def _diamond():
+    b = GraphBuilder()
+    a = b.add_task(TaskKind.GENERIC, level=0)
+    x = b.add_task(TaskKind.GENERIC, level=1)
+    y = b.add_task(TaskKind.GENERIC, level=1)
+    d = b.add_task(TaskKind.GENERIC, level=2)
+    for src, dst in ((a, x), (a, y), (x, d), (y, d)):
+        b.add_edge(src, dst)
+    return b.freeze()
+
+
 def test_build_path_shape():
     g = build_path(5)
     assert g.n == 5
-    assert g.is_path
+    assert g.is_path()
+    assert not _diamond().is_path()
     assert g.span == 4
     assert g.initial_tasks == (0,)
     assert g.final_tasks == (4,)
@@ -41,8 +61,8 @@ def test_build_path_shape():
 
 def test_builder_rejects_cycles():
     b = GraphBuilder()
-    x = b.add_task(TaskKind.GENERIC)
-    y = b.add_task(TaskKind.GENERIC)
+    x = b.add_task(TaskKind.GENERIC, level=0)
+    y = b.add_task(TaskKind.GENERIC, level=1)
     b.add_edge(x, y)
     b.add_edge(y, x)
     with pytest.raises(NotADagError):
@@ -51,8 +71,8 @@ def test_builder_rejects_cycles():
 
 def test_builder_rejects_duplicate_edge():
     b = GraphBuilder()
-    x = b.add_task(TaskKind.GENERIC)
-    y = b.add_task(TaskKind.GENERIC)
+    x = b.add_task(TaskKind.GENERIC, level=0)
+    y = b.add_task(TaskKind.GENERIC, level=1)
     b.add_edge(x, y)
     with pytest.raises(ValueError):
         b.add_edge(x, y)
@@ -60,65 +80,19 @@ def test_builder_rejects_duplicate_edge():
 
 def test_builder_rejects_self_edge():
     b = GraphBuilder()
-    x = b.add_task(TaskKind.GENERIC)
+    x = b.add_task(TaskKind.GENERIC, level=0)
     with pytest.raises(ValueError):
         b.add_edge(x, x)
 
 
-def test_freeze_requires_levels_when_asked():
+@pytest.mark.parametrize("gap", [0, 2, -1])
+def test_freeze_rejects_edges_that_do_not_climb_one_level(gap):
     b = GraphBuilder()
-    x = b.add_task(TaskKind.GENERIC, level=0)
-    y = b.add_task(TaskKind.GENERIC, level=2)
+    x = b.add_task(TaskKind.GENERIC, level=1)
+    y = b.add_task(TaskKind.GENERIC, level=1 + gap)
     b.add_edge(x, y)
     with pytest.raises(NotADagError):
-        b.freeze(require_leveled=True)
-
-
-def _random_builder(rng, n_tasks, edge_prob):
-    b = GraphBuilder()
-    ids = [b.add_task(TaskKind.GENERIC) for _ in range(n_tasks)]
-    for i in range(n_tasks):
-        for j in range(i + 1, n_tasks):
-            if rng.random() < edge_prob:
-                b.add_edge(ids[i], ids[j])
-    return b.freeze()
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.floats(0.0, 0.6))
-@settings(max_examples=60, deadline=None)
-def test_topological_order_is_valid(seed, n_tasks, edge_prob):
-    g = _random_builder(np.random.default_rng(seed), n_tasks, edge_prob)
-    order = topological_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    assert sorted(order) == list(range(g.n))
-    for src, dst in g.edges():
-        assert pos[src] < pos[dst]
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.floats(0.0, 0.6))
-@settings(max_examples=60, deadline=None)
-def test_levels_match_longest_path_oracle(seed, n_tasks, edge_prob):
-    g = _random_builder(np.random.default_rng(seed), n_tasks, edge_prob)
-    lg = to_leveled(g)
-    preds = {v: lg.preds[v] for v in range(lg.n)}
-    oracle = longest_path_levels(preds)
-    assert list(lg.levels) == [oracle[v] for v in range(lg.n)]
-    assert_leveled(lg)
-
-
-def test_to_leveled_inserts_forwarders_only_where_needed():
-    b = GraphBuilder()
-    a = b.add_task(TaskKind.GENERIC)
-    c = b.add_task(TaskKind.GENERIC)
-    d = b.add_task(TaskKind.GENERIC)
-    b.add_edge(a, c)
-    b.add_edge(c, d)
-    b.add_edge(a, d)  # skips a level, needs one forwarder
-    g = to_leveled(b.freeze())
-    assert g.n == 4
-    kinds = list(g.kinds)
-    assert kinds.count(TaskKind.FORWARD_INPUT) == 1
-    assert_leveled(g)
+        b.freeze()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 20))
@@ -137,17 +111,21 @@ def test_random_leveled_dag_properties(seed, width, depth):
             assert all(g.levels[p] == g.levels[v] - 1 for p in g.preds[v])
 
 
-def test_extend_with_io_lists_counts():
-    base = build_path(4)
-    g = extend_with_io_lists(base, c=2)
-    # prefix chain of c*ceil(log2 n) relays, suffix chain of D + ceil(log2 n)
-    init_len = 2 * ceil_log2(4)
-    final_len = base.span + ceil_log2(4)
-    assert g.n == 4 + init_len + final_len
-    assert len(g.initial_tasks) == 1
-    assert len(g.final_tasks) == 1
-    assert_leveled(g)
-    assert g.span == base.span + init_len + final_len
+def test_levels_match_longest_path_oracle():
+    """Every builder puts each task on its longest-path level, so the top
+    level is the span D."""
+    graphs = [
+        build_path(7),
+        _diamond(),
+        build_matmul_graph(4, c=1.5),
+        build_mergesort_graph(8, 64, c=1.0),
+    ] + [
+        random_leveled_dag(width, depth, np.random.default_rng(seed))
+        for seed, (width, depth) in enumerate(((1, 5), (3, 9), (8, 20)))
+    ]
+    for g in graphs:
+        oracle = longest_path_levels({v: g.preds[v] for v in range(g.n)})
+        assert list(g.levels) == [oracle[v] for v in range(g.n)]
 
 
 def test_json_dump_format():
@@ -160,22 +138,3 @@ def test_json_dump_format():
         [2, "PathCompute", 2],
     ]
     assert doc["edges"] == [[0, 1], [1, 2]]
-
-
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 20),
-    st.floats(0.0, 0.7),
-    st.integers(0, 40),
-)
-@settings(max_examples=80, deadline=None)
-def test_wavefront_of_prefix_matches_definition(seed, n_tasks, edge_prob, prefix):
-    """Ancestor-closed sets from topological prefixes; wavefront checked
-    against the definition."""
-    from supsim.protocol import wavefront
-
-    g = _random_builder(np.random.default_rng(seed), n_tasks, edge_prob)
-    order = topological_order(g)
-    f = set(order[: min(prefix, g.n)])
-    preds = {v: g.preds[v] for v in range(g.n)}
-    assert wavefront(g, f) == brute_wavefront(preds, f)
