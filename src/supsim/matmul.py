@@ -16,14 +16,13 @@ a constant factor of the payload it forwards.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import Metrics
 from .protocol import Done, Reject, Silent, SupervisorState, read_only
-from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2, list_length
+from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2, ceil_log2, list_length
 from .verify import (
     MODULUS,
     digest,
@@ -48,7 +47,7 @@ def _validate_params(m: int, k: int) -> None:
     _validate_k(k)
     if m % k != 0:
         raise ValueError(f"k={k} must divide m={m}")
-    if m < k * math.ceil(math.log2(k * k)):
+    if m < k * ceil_log2(k * k):
         raise ValueError(
             f"m={m} too small for k={k}: need m >= k*ceil(log2(k^2))"
         )
@@ -98,14 +97,12 @@ def random_instance(m: int, k: int, rng: np.random.Generator) -> MatmulInstance:
 def stripes(
     a: np.ndarray, b: np.ndarray, k: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Row stripes of a and column stripes of b, k of each, read-only (an
-    A-stripe is a view into a)."""
+    """Row stripes of a and column stripes of b, k of each, as read-only
+    copies."""
     m = a.shape[0]
     w = m // k
-    a_stripes = [read_only(np.ascontiguousarray(a[i * w : (i + 1) * w, :]))
-                 for i in range(k)]
-    b_stripes = [read_only(np.ascontiguousarray(b[:, j * w : (j + 1) * w]))
-                 for j in range(k)]
+    a_stripes = [read_only(a[i * w : (i + 1) * w, :]) for i in range(k)]
+    b_stripes = [read_only(b[:, j * w : (j + 1) * w]) for j in range(k)]
     return a_stripes, b_stripes
 
 
@@ -118,6 +115,8 @@ def save_instance(path, inst: MatmulInstance) -> None:
 
 
 def load_instance(path) -> MatmulInstance:
+    """A matrix pair saved by `save_instance`, read-only, so the trials of
+    one batch can share it."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -129,8 +128,8 @@ def load_instance(path) -> MatmulInstance:
         body = np.fromfile(fh, dtype="<u8", count=2 * m * m)
     if body.size != 2 * m * m:
         raise ValueError(f"{path}: expected {2 * m * m} elements, got {body.size}")
-    a = body[: m * m].reshape(m, m).astype(np.uint64)
-    b = body[m * m :].reshape(m, m).astype(np.uint64)
+    a = read_only(body[: m * m].reshape(m, m).astype(np.uint64))
+    b = read_only(body[m * m :].reshape(m, m).astype(np.uint64))
     return MatmulInstance(a=a, b=b, k=k)
 
 
@@ -338,7 +337,7 @@ class MatmulApp:
                 bad.append(preds[1])
             if bad:
                 return Reject(bad), None
-            c_ij = read_only(f_matmul(a_i, b_j, metrics=metrics, role="worker"))
+            c_ij = read_only(f_matmul(a_i, b_j, metrics=metrics))
             return _DONE_PLAIN, (a_i, b_j, c_ij)
 
         # output list: re-verify the block before vouching for it
@@ -430,8 +429,12 @@ class MatmulApp:
 
 
 def make_matmul_app(
-    m: int, k: int, tau: int, rng: np.random.Generator, c: float = 1.0
+    m: int, k: int, tau: int, rng: np.random.Generator, c: float = 1.0,
+    instance: MatmulInstance | None = None,
 ) -> MatmulApp:
-    """Instance and application from a trial's instance stream."""
-    inst = random_instance(m, k, rng)
-    return MatmulApp(inst, tau=tau, c=c, key=rng.bytes(16))
+    """Application from a trial's instance stream.  The instance is drawn
+    from the stream unless one is given; the digest key is the next draw
+    either way."""
+    if instance is None:
+        instance = random_instance(m, k, rng)
+    return MatmulApp(instance, tau=tau, c=c, key=rng.bytes(16))

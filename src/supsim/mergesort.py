@@ -28,7 +28,7 @@ import numpy as np
 
 from .metrics import Metrics
 from .protocol import TARGET, Done, Reject, Silent, SupervisorState, read_only
-from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2, list_length
+from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2, ceil_log2, list_length
 from .verify import SigningKey, sign_items, verify_items
 
 
@@ -48,9 +48,9 @@ def _validate_params(m: int, n: int) -> None:
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     if m % n != 0 or not _is_pow2(m // n):
         raise ValueError(f"m={m} must be n times a power of two (n={n})")
-    if m < n * math.ceil(math.log2(n)):
+    if m < n * ceil_log2(n):
         raise ValueError(f"m={m} too small: need m >= n*ceil(log2 n) = "
-                         f"{n * math.ceil(math.log2(n))}")
+                         f"{n * ceil_log2(n)}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ class MergesortApp:
             raise ValueError("values must be a flat array")
         m = values.shape[0]
         _validate_params(m, n)
-        self.m, self.n, self.c = m, n, c
+        self.m, self.n = m, n
         self.input_values = values.copy()
         self.graph = build_mergesort_graph(n, m, c)
 
@@ -351,7 +351,7 @@ class MergesortApp:
             if merged.shape[0]:
                 order = np.lexsort((merged[:, 1], merged[:, 0]))
                 merged = merged[order]
-            read_only(merged)
+            merged = read_only(merged)
             metrics.charge_comp("worker", merged.shape[0])
             metrics.saw_task_items(merged.shape[0])
             if len(self.graph.succs[task]) == 2:
@@ -494,8 +494,12 @@ def read_values(path) -> np.ndarray:
 
 
 def make_mergesort_app(
-    m: int, n: int, rng: np.random.Generator, c: float = 1.0
+    m: int, n: int, rng: np.random.Generator, c: float = 1.0,
+    values: np.ndarray | None = None,
 ) -> MergesortApp:
-    """Instance and application from a trial's instance stream."""
-    values = rng.integers(0, 1 << 61, size=m, dtype=np.uint64)
+    """Application from a trial's instance stream.  The m values are drawn
+    from the stream unless they are given; the permutation, key and
+    quantile sample are the next draws either way."""
+    if values is None:
+        values = rng.integers(0, 1 << 61, size=m, dtype=np.uint64)
     return MergesortApp(values, n=n, c=c, rng=rng)

@@ -72,10 +72,11 @@ Report = Done | Reject | _Silent
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
-    """Freeze a payload where it is made, so no worker that is handed it
-    (or a view of it) can write into the data its maker still reads."""
-    arr.setflags(write=False)
-    return arr
+    """A copy of a payload backed by an immutable `bytes` buffer, made where
+    the payload is made.  numpy refuses to make such an array, or any view
+    of it, writeable again, so no worker that is handed it can write into
+    the data its maker still reads."""
+    return np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
 
 
 @dataclass
@@ -135,16 +136,15 @@ class AdversaryView:
     present (graph, assignments, finished set, payloads its workers have
     handled, round number) but no private keys and no future randomness."""
 
-    def __init__(self, graph: TaskGraph, app, sup: SupervisorState) -> None:
+    def __init__(self, app, sup: SupervisorState) -> None:
         # holds what it shows, not the engine, so an engine is freed by
         # reference counting as soon as its trial drops it
-        self._graph = graph
         self._app = app
         self._sup = sup
 
     @property
     def graph(self) -> TaskGraph:
-        return self._graph
+        return self._app.graph
 
     @property
     def app(self):
@@ -164,11 +164,11 @@ class AdversaryView:
 
 
 class Engine:
-    """One trial: a task graph, an application, a strategy, and four rngs."""
+    """One trial: an application with its task graph, a strategy, and four
+    rngs."""
 
     def __init__(
         self,
-        graph: TaskGraph,
         app,
         strategy,
         beta: float,
@@ -177,6 +177,7 @@ class Engine:
         target_always_rejects: bool = False,
         trace_sink: Callable[[dict], None] | None = None,
     ) -> None:
+        graph = app.graph
         if round_cap is None:
             round_cap = 64 * (graph.span + ceil_log2(graph.n) + 1)
         elif round_cap < 1:
@@ -194,11 +195,11 @@ class Engine:
         self.metrics = Metrics()
         self.sampler = WorkerSampler(beta, rngs.supervisor)
         strategy.bind(rngs.adversary)
-        self._in_f = np.zeros(n, dtype=bool)
-        self._missing = np.array([len(p) for p in graph.preds], dtype=np.int64)
+        # per task, how many predecessors are not in sup.f
+        self._missing = [len(p) for p in graph.preds]
         self.worker_honest: list[bool] = [True] * n
         self._outputs: list[Any] = [None] * n
-        self.view = AdversaryView(graph, app, self.sup)
+        self.view = AdversaryView(app, self.sup)
         self.terminated = False
 
         self._is_path = graph.is_path()
@@ -261,20 +262,16 @@ class Engine:
         return True
 
     # -- finished-set maintenance -------------------------------------------
+    # The rules only ever add unfinished tasks and remove finished ones, so
+    # `sup.f.remove` raises on a broken rule instead of passing silently.
 
     def _f_add(self, v: int) -> None:
-        if self._in_f[v]:
-            return
-        self._in_f[v] = True
         self.sup.f.add(v)
         for w in self.graph.succs[v]:
             self._missing[w] -= 1
 
     def _f_remove(self, v: int) -> None:
-        if not self._in_f[v]:
-            return
-        self._in_f[v] = False
-        self.sup.f.discard(v)
+        self.sup.f.remove(v)
         self.sup.digests.pop(v, None)
         succs = self.graph.succs[v]
         for w in succs:
@@ -285,15 +282,16 @@ class Engine:
     def _prune(self, seeds: set[int]) -> None:
         """Unfinish every finished seed together with every finished task
         reachable from one, which restores ancestor closure in one sweep."""
+        f = self.sup.f
         doomed: set[int] = set()
-        stack = [w for w in seeds if self._in_f[w]]
+        stack = [w for w in seeds if w in f]
         while stack:
             u = stack.pop()
             if u in doomed:
                 continue
             doomed.add(u)
             stack.extend(
-                x for x in self.graph.succs[u] if self._in_f[x] and x not in doomed
+                x for x in self.graph.succs[u] if x in f and x not in doomed
             )
         for u in doomed:
             self._f_remove(u)
@@ -326,11 +324,9 @@ class Engine:
 
     def _step_dag(self) -> dict:
         g = self.graph
-        wf = np.nonzero(~self._in_f & (self._missing == 0))[0]
-        reports: list[tuple[int, Report]] = []
-        for v in wf:
-            v = int(v)
-            reports.append((v, self._attempt(v)))
+        f = self.sup.f
+        wf = [v for v, k in enumerate(self._missing) if k == 0 and v not in f]
+        reports = [(v, self._attempt(v)) for v in wf]
 
         rejects: list[tuple[int, Reject]] = []
         for v, report in reports:
@@ -365,7 +361,7 @@ class Engine:
             return None
         return {
             "round": self.sup.round,
-            "scheduled": [int(v) for v in wf],
+            "scheduled": wf,
             "reports": [_report_kind(r) for _, r in reports],
             "f_size": len(self.sup.f),
         }

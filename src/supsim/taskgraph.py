@@ -176,7 +176,6 @@ def random_leveled_dag(
     width: int,
     depth: int,
     rng: np.random.Generator,
-    extra_edge_prob: float = 0.5,
 ) -> TaskGraph:
     """Random leveled DAG with `width` Generic tasks on each of depth+1 levels.
 
@@ -197,9 +196,10 @@ def random_leveled_dag(
         perm = rng.permutation(width)
         for i in range(width):
             b.add_edge(lo[i], hi[perm[i]])
-        # Sprinkle extra edges without breaching the degree-2 budget.
+        # Sprinkle extra edges, each tried with probability 1/2, without
+        # breaching the degree-2 budget.
         for i in range(width):
-            if rng.random() >= extra_edge_prob:
+            if rng.random() >= 0.5:
                 continue
             if len(b.succs[lo[i]]) >= 2:
                 continue

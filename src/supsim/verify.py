@@ -56,9 +56,9 @@ def f_matmul(
     a: np.ndarray,
     b: np.ndarray,
     metrics: Metrics | None = None,
-    role: str = "worker",
 ) -> np.ndarray:
-    """Matrix product over the field; charges rows·cols·inner madds.
+    """Matrix product over the field; charges rows·cols·inner madds to the
+    worker.
 
     Entries must lie below 2^61.  Each operand is split into three 21-bit
     limbs, a = Σ a_i·2^(21i) and b = Σ b_j·2^(21j), stacked so that one
@@ -88,7 +88,7 @@ def f_matmul(
         mid = g1 + (p[2, :, 2] << _TWO)
         out = f_reduce(out + low + _rotl61(mid, 21) + _rotl61(g2, 42))
     if metrics is not None:
-        metrics.charge_comp(role, rows * cols * inner)
+        metrics.charge_comp("worker", rows * cols * inner)
     return out
 
 
@@ -99,7 +99,6 @@ def freivalds(
     tau: int,
     rng: np.random.Generator,
     metrics: Metrics | None = None,
-    role: str = "worker",
 ) -> bool:
     """Randomized check that a_i · b_j = c, with τ independent repetitions.
 
@@ -119,7 +118,7 @@ def freivalds(
         )
     for _ in range(tau):
         r = rng.integers(0, 2, size=rows, dtype=np.uint64)
-        if not freivalds_once(a_i, b_j, c, r, metrics, role):
+        if not freivalds_once(a_i, b_j, c, r, metrics):
             return False
     return True
 
@@ -130,12 +129,11 @@ def freivalds_once(
     c: np.ndarray,
     r: np.ndarray,
     metrics: Metrics | None = None,
-    role: str = "worker",
 ) -> bool:
     """One repetition with a caller-supplied 0/1 vector r."""
     r = r[:, np.newaxis]
     x = f_matmul(b_j, r)
-    y = f_matmul(a_i, x, metrics, role)
+    y = f_matmul(a_i, x, metrics)
     z = f_matmul(c, r)
     return bool(np.array_equal(y, z))
 

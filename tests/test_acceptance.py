@@ -168,7 +168,7 @@ def test_criterion_04_honest_majority_on_log_path():
     for seed in range(trials):
         app = FlagApp(graph)
         eng = Engine(
-            graph, app, make_strategy("honest_until_end"), beta=beta,
+            app, make_strategy("honest_until_end"), beta=beta,
             rngs=TrialRngs.from_seed(seed),
         )
         out = eng.run()
@@ -389,7 +389,7 @@ def test_criterion_12_structural_invariants():
     ]
     for seed, g in enumerate(graphs):
         eng = Engine(
-            g, FlagApp(g), make_strategy("random_mix"), beta=0.3,
+            FlagApp(g), make_strategy("random_mix"), beta=0.3,
             rngs=TrialRngs.from_seed(seed),
         )
         assert run_audited(eng).terminated
@@ -400,7 +400,7 @@ def test_criterion_12_structural_invariants():
         values = rng.integers(0, max(4, m // 8), size=m, dtype=np.uint64)
         app = MergesortApp(values, n=n, rng=rng)
         eng = Engine(
-            app.graph, app, make_strategy("honest"), beta=0.0,
+            app, make_strategy("honest"), beta=0.0,
             rngs=TrialRngs.from_seed(seed),
         )
         out = eng.run()

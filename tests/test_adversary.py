@@ -199,8 +199,8 @@ def test_strategy_surface_has_no_signing_access():
 
 
 class InPlaceWriter(Strategy):
-    """Test-only: writes into every array it is handed, then passes the
-    payload on as if nothing happened."""
+    """Test-only: sets every array it is handed writeable and writes into
+    it, then passes the payload on as if nothing happened."""
 
     name = "in_place_writer"
 
@@ -214,9 +214,10 @@ class InPlaceWriter(Strategy):
             if isinstance(arr, np.ndarray) and arr.size:
                 self.tried += 1
                 try:
+                    arr.setflags(write=True)
                     arr[(0,) * arr.ndim] += np.uint64(1)
                     self.landed += 1
-                except ValueError:  # read-only payload
+                except ValueError:  # a payload nothing can write into
                     pass
         return true_output
 
@@ -226,12 +227,12 @@ class InPlaceWriter(Strategy):
 def test_in_place_writes_reach_no_payload(app, size):
     for seed in range(3):
         cfg = ExperimentConfig(app=app, beta=0.1, **size)
-        rngs, graph, app_obj, oracle = _build_trial(cfg, seed)
-        # matmul A-stripes are views into the instance the oracle was built from
-        sources = [app_obj.source_payload(v) for v in graph.initial_tasks]
+        rngs, app_obj, oracle = _build_trial(cfg, seed)
+        # the source's stripes or items, which it re-sends after a rollback
+        sources = [app_obj.source_payload(v) for v in app_obj.graph.initial_tasks]
         before = [p.copy() for p in sources]
         writer = InPlaceWriter()
-        out = Engine(graph, app_obj, writer, beta=cfg.beta, rngs=rngs).run()
+        out = Engine(app_obj, writer, beta=cfg.beta, rngs=rngs).run()
         assert writer.tried > 0 and writer.landed == 0, f"seed {seed}"
         assert out.terminated, f"seed {seed} hit the round cap"
         assert oracle(out.target_output)

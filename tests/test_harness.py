@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from supsim import harness
 from supsim.harness import (
     ROW_FIELDS,
     Batch,
@@ -63,7 +64,14 @@ def test_csv_has_one_line_per_trial_plus_summary():
     batch = run_experiment(_cfg())
     data = emit(batch, "csv").decode()
     rows = list(csv.reader(io.StringIO(data)))
-    assert rows[0] == list(ROW_FIELDS)
+    # a literal: the JSON goldens sort their keys, so only this pins the order
+    assert data.split("\n")[0] == (
+        "seed,app,strategy,terminated,capped,output_ok,rounds,source_sends,"
+        "target_receives,supervisor_msgs,per_task_max_items,comp_worker,"
+        "comp_source,comp_target,comp_supervisor,verify_worker,verify_source,"
+        "verify_target,verify_supervisor,comm_worker,comm_source,comm_target,"
+        "comm_supervisor,comp_total,comm_total"
+    )
     assert len(rows) == 1 + 3 + 1
     assert rows[-1][0] == "summary"
     seeds = [r[0] for r in rows[1:-1]]
@@ -200,6 +208,37 @@ def test_cli_input_file_matching_the_flags_runs(tmp_path, args, text):
     assert code == 0
     doc = json.loads(out_file.read_text())
     assert all(t["output_ok"] for t in doc["trials"])
+
+
+@pytest.mark.parametrize("app, reader, n, m, text", [
+    ("matmul", "load_instance", 4, 16, (16, 2)),
+    ("mergesort", "read_values", 2, 16, "9\n3\n" * 8),
+], ids=["matmul", "mergesort"])
+def test_input_file_is_read_once_per_batch(tmp_path, monkeypatch, app, reader,
+                                           n, m, text):
+    path = tmp_path / "input.txt"
+    _write_input(path, text)
+    calls = []
+    real = getattr(harness, reader)
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    # wrapped where the harness looks the reader up
+    monkeypatch.setattr(harness, reader, counted)
+    cfg = ExperimentConfig(app=app, n=n, m=m, beta=0.1, strategy="random_mix",
+                           seeds=tuple(range(5)), input_path=str(path))
+    batch = run_experiment(cfg)
+    assert len(batch.trials) == 5 and batch.all_pass
+    assert len(calls) == 1
+    calls.clear()
+    code = main(["--app", app, "--n", str(n), "--m", str(m), "--beta", "0.1",
+                 "--input", str(path), "--trials", "5",
+                 "--dump-graph", str(tmp_path / "g.json"),
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_no_engine_outlives_its_trial():

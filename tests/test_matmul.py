@@ -112,7 +112,7 @@ def test_graph_list_lengths_scale_with_c(log_k, c):
 
 def test_honest_run_matches_bigint_oracle():
     app = make_matmul_app(8, 2, tau=8, rng=stream(0, 3))
-    eng = Engine(app.graph, app, make_strategy("honest"), beta=0.0,
+    eng = Engine(app, make_strategy("honest"), beta=0.0,
                  rngs=TrialRngs.from_seed(0))
     out = eng.run()
     assert out.terminated
@@ -123,7 +123,7 @@ def test_honest_run_matches_bigint_oracle():
 
 def test_rounds_with_no_adversaries_equal_pipeline_depth():
     app = make_matmul_app(8, 2, tau=4, rng=stream(1, 3))
-    eng = Engine(app.graph, app, make_strategy("honest"), beta=0.0,
+    eng = Engine(app, make_strategy("honest"), beta=0.0,
                  rngs=TrialRngs.from_seed(1))
     out = eng.run()
     assert out.metrics.rounds == app.graph.span + 1
@@ -134,7 +134,6 @@ def test_all_strategies_yield_correct_product(strat):
     for seed in range(3):
         app = make_matmul_app(8, 2, tau=10, rng=stream(seed, 3))
         eng = Engine(
-            app.graph,
             app,
             make_strategy(strat),
             beta=0.25,

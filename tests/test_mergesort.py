@@ -103,7 +103,7 @@ def test_cyclic_range_none_accepts_everything():
 
 def _engine(app, strategy, seed, beta):
     return Engine(
-        app.graph, app, make_strategy(strategy), beta=beta,
+        app, make_strategy(strategy), beta=beta,
         rngs=TrialRngs.from_seed(seed),
     )
 
@@ -154,7 +154,7 @@ def test_count_cheat_is_detected_and_repaired():
     kinds_seen = []
     app = make_mergesort_app(256, 8, rng=stream(5, 3))
     eng = Engine(
-        app.graph, app, make_strategy("count_cheat"), beta=0.4,
+        app, make_strategy("count_cheat"), beta=0.4,
         rngs=TrialRngs.from_seed(5),
         trace_sink=lambda rec: kinds_seen.extend(rec["reports"]),
     )

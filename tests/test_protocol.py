@@ -52,7 +52,7 @@ class ScriptedSampler:
 
 def _engine(graph, strategy, script=None, beta=0.0, seed=0, **kw):
     app = FlagApp(graph)
-    eng = Engine(graph, app, strategy, beta=beta, rngs=TrialRngs.from_seed(seed), **kw)
+    eng = Engine(app, strategy, beta=beta, rngs=TrialRngs.from_seed(seed), **kw)
     if script is not None:
         eng.sampler = ScriptedSampler(script)
     return eng
@@ -75,7 +75,7 @@ def _engine_wavefront(eng):
     """The wavefront the engine would schedule, read off its `_missing`."""
     return {
         v for v in range(eng.graph.n)
-        if not eng._in_f[v] and eng._missing[v] == 0
+        if v not in eng.sup.f and eng._missing[v] == 0
     }
 
 

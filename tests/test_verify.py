@@ -104,7 +104,7 @@ def test_f_matmul_charges_multiply_adds():
     m = Metrics()
     a = np.ones((3, 4), dtype=np.uint64)
     b = np.ones((4, 5), dtype=np.uint64)
-    f_matmul(a, b, metrics=m, role="worker")
+    f_matmul(a, b, metrics=m)
     assert m.comp_work["worker"] == 3 * 4 * 5
 
 
@@ -116,7 +116,7 @@ def test_freivalds_charges_only_the_matvec_part():
     b = rng.integers(0, P, size=(12, 4), dtype=np.uint64)
     c = f_matmul(a, b)
     m = Metrics()
-    assert freivalds(a, b, c, tau=6, rng=rng, metrics=m, role="worker")
+    assert freivalds(a, b, c, tau=6, rng=rng, metrics=m)
     assert m.comp_work["worker"] == 6 * 4 * 12
 
 
