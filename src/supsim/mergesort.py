@@ -18,11 +18,18 @@ membership in the sender's block segment, and value membership in the
 consumer's own quantile range.  Counts declared to the supervisor must
 be conserved, so an item can be dropped or duplicated only at the price
 of a detectable mismatch one hop later.
+
+Honest relays (forwarding lists, the target) are handed the very payload
+object the hop before them checked.  The app memoizes each scan's verdict
+per immutable payload object and check parameters, so those bytes are
+scanned once; the modelled verification work is still charged at every
+hop.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -169,6 +176,18 @@ def in_cyclic_range(vals, idxs, bounds) -> np.ndarray:
     return (ge & lt) if lo < hi else (ge | lt)
 
 
+def _immutable(arr) -> bool:
+    """A plain ndarray whose data nothing can change: its chain of bases
+    ends in a `bytes` object, as `protocol.read_only` and
+    `np.frombuffer(bytes)` make them."""
+    if type(arr) is not np.ndarray:
+        return False
+    base = arr.base
+    while type(base) is np.ndarray:
+        base = base.base
+    return type(base) is bytes
+
+
 def _block_sorted(vals, idxs, block: int) -> bool:
     """Strict (value, index) order inside every aligned block."""
     if vals.shape[0] <= 1 or block <= 1:
@@ -244,6 +263,8 @@ class MergesortApp:
                 self._ranges[v] = None
 
         self._streams: dict[int, np.ndarray] = {}
+        # id(payload) -> (weakref to it, scan parameters, verdict)
+        self._verdicts: dict[int, tuple] = {}
 
     # -- structural helpers ---------------------------------------------------
 
@@ -279,7 +300,15 @@ class MergesortApp:
         metrics: Metrics,
         role: str = "worker",
     ) -> bool:
-        """All receiver-side checks for one incoming run."""
+        """All receiver-side checks for one incoming run.
+
+        The shape, dtype and count tests run, and verification work is
+        charged, on every call.  The scan of the items (tags, order, index
+        segment, duplicates, quantile range) runs once per immutable
+        payload object and parameters: its verdict is memoized, holding the
+        payload only weakly.  Writable arrays, arrays over a mutable buffer
+        and ndarray subclasses are scanned on every call.
+        """
         if (
             not isinstance(arr, np.ndarray)
             or arr.dtype != np.uint64
@@ -291,8 +320,19 @@ class MergesortApp:
             return False
         if arr.shape[0] == 0:
             return True
-        vals, idxs = arr[:, 0], arr[:, 1]
         metrics.charge_verify(role, 3 * arr.shape[0])
+        # strides: the one part of the layout a holder can still reset in place
+        params = (segment, bounds, block, arr.strides)
+        memo = self._verdicts.get(id(arr))
+        if memo is not None and memo[0]() is arr and memo[1] == params:
+            return memo[2]
+        ok = self._scan_run(arr, segment, bounds, block)
+        if _immutable(arr):
+            self._verdicts[id(arr)] = (weakref.ref(arr), params, ok)
+        return ok
+
+    def _scan_run(self, arr, segment: tuple[int, int], bounds, block: int) -> bool:
+        vals, idxs = arr[:, 0], arr[:, 1]
         if not bool(np.all(verify_items(vals, idxs, arr[:, 2], arr[:, 3], self._key))):
             return False
         if not _block_sorted(vals, idxs, block):
@@ -300,7 +340,10 @@ class MergesortApp:
         lo, hi = segment
         if not bool(np.all((idxs >= lo) & (idxs <= hi))):
             return False
-        if np.unique(idxs).size != idxs.size:
+        # every index lies in [lo, hi], so a bitmap finds repeats
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[idxs - np.uint64(lo)] = True
+        if np.count_nonzero(seen) != idxs.size:
             return False
         return bool(np.all(in_cyclic_range(vals, idxs, bounds)))
 
@@ -434,12 +477,9 @@ class MergesortApp:
             return set(self.graph.final_tasks)
         full = self._assemble()
         ok = full.shape[0] == self.m
-        if ok:
-            idxs = np.sort(full[:, 1])
-            ok = bool(
-                idxs[0] == 1
-                and idxs[-1] == self.m
-                and np.unique(idxs).size == self.m
+        if ok:  # the indices are a permutation of 1..m
+            ok = np.array_equal(
+                np.sort(full[:, 1]), np.arange(1, self.m + 1, dtype=np.uint64)
             )
         if ok:
             ok = _block_sorted(full[:, 0], full[:, 1], full.shape[0])

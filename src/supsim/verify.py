@@ -196,8 +196,12 @@ def sign_items(
     """Vectorized 128-bit tags binding each (value, index) pair to the key."""
     v = np.asarray(values, dtype=np.uint64)
     i = np.asarray(indices, dtype=np.uint64)
-    t0 = _mix64(v ^ _mix64(i ^ np.uint64(key.k0)))
-    t1 = _mix64(v ^ _mix64(i + np.uint64(key.k1)) ^ np.uint64(key.k1))
+    k0, k1 = np.uint64(key.k0), np.uint64(key.k1)
+    # t0 = mix(v ^ mix(i ^ k0)) and t1 = mix(v ^ mix(i + k1) ^ k1), both
+    # halves in one pass per mixing stage
+    inner = _mix64(np.stack([i ^ k0, i + k1]))
+    inner[1] ^= k1
+    t0, t1 = _mix64(v ^ inner)
     return t0, t1
 
 

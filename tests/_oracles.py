@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 
 P = (1 << 61) - 1
+MASK64 = (1 << 64) - 1
 
 
 def brute_wavefront(preds: dict[int, tuple], finished: set[int]) -> set[int]:
@@ -121,3 +122,18 @@ def in_cyclic_oracle(pair, lo, hi) -> bool:
 
 def sorted_pairs(values, indexes) -> list[tuple[int, int]]:
     return sorted(zip(map(int, values), map(int, indexes)))
+
+
+def py_mix64(x: int) -> int:
+    """SplitMix64's finalizer on a 64-bit Python int."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def py_item_tags(value: int, index: int, k0: int, k1: int) -> tuple[int, int]:
+    """An item's two tag words by the four-pass formula:
+    t0 = mix(v ^ mix(i ^ k0)) and t1 = mix(v ^ mix(i + k1) ^ k1)."""
+    t0 = py_mix64(value ^ py_mix64(index ^ k0))
+    t1 = py_mix64(value ^ py_mix64((index + k1) & MASK64) ^ k1)
+    return t0, t1

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from supsim import mergesort
 from supsim.adversary import (
     AlwaysReject,
     CorruptOutput,
@@ -14,7 +17,9 @@ from supsim.adversary import (
     make_strategy,
 )
 from supsim.harness import ExperimentConfig, _build_trial
-from supsim.protocol import TARGET, Done, Engine, FlagApp, Reject, Silent
+from supsim.mergesort import MergesortApp, make_mergesort_app
+from supsim.metrics import Metrics
+from supsim.protocol import TARGET, Done, Engine, FlagApp, Reject, Silent, read_only
 from supsim.rngs import TrialRngs, stream
 from supsim.taskgraph import build_path
 
@@ -237,3 +242,117 @@ def test_in_place_writes_reach_no_payload(app, size):
         assert out.terminated, f"seed {seed} hit the round cap"
         assert oracle(out.target_output)
         assert all(np.array_equal(p, q) for p, q in zip(sources, before))
+
+
+class Rebound(np.ndarray):
+    """An ndarray subclass over immutable bytes whose items, as readers
+    index them, come from `source` once that is set."""
+
+    source = None
+
+    def __getitem__(self, key):
+        src = self.view(np.ndarray) if self.source is None else self.source
+        return src[key]
+
+
+def _flip_tag(arr):
+    arr[0, 2] ^= np.uint64(1)
+
+
+def _writable(run):
+    kept = run.copy()
+    return kept, lambda: _flip_tag(kept)
+
+
+def _over_bytearray(run):
+    buf = bytearray(run.tobytes())
+    kept = np.frombuffer(buf, np.uint64).reshape(run.shape)
+    kept.setflags(write=False)  # read-only to numpy, yet its buffer is not
+    return kept, lambda: _flip_tag(np.frombuffer(buf, np.uint64).reshape(run.shape))
+
+
+def _subclass(run):
+    kept = read_only(run).view(Rebound)
+    tampered = run.copy()
+    _flip_tag(tampered)
+
+    def poke():
+        kept.source = tampered
+    return kept, poke
+
+
+def _restrided(run):
+    def poke():  # every row now reads as row 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            run.strides = (0, run.strides[1])
+    return run, poke
+
+
+class ReusedPayload(Strategy):
+    """Test-only: keeps the first run it relays as one array object of
+    `make`'s kind and emits it; on the next hop it changes that same object
+    and emits it again."""
+
+    name = "reused_payload"
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+        self.kept = self.poke = None
+
+    def emit(self, view, task, true_output, destination):
+        if self.kept is None:
+            self.kept, self.poke = self.make(true_output)
+        else:
+            self.poke()
+        return self.kept
+
+
+@pytest.mark.parametrize("make", [_writable, _over_bytearray, _subclass, _restrided])
+def test_a_payload_changed_between_hops_is_checked_again(make):
+    app = make_mergesort_app(64, 4, rng=stream(0, 3))
+    eng = Engine(app, Strategy(), beta=0.0, rngs=TrialRngs.from_seed(0))
+    assert eng.run().terminated  # declares every count on eng.sup
+    g = app.graph
+    # merge task p feeds a forwarding list f0 -> f1 whose hops check with
+    # the same segment, range and block
+    f0 = next(v for v in range(g.n)
+              if g.meta[v]["role"] == "final" and g.meta[v]["seq"] == 0)
+    (p,), (f1,) = g.preds[f0], g.succs[f0]
+    writer = ReusedPayload(make)
+    writer.bind(stream(0, 2))
+    view = FakeView(g, app)
+
+    def hop(src, dst, payload):
+        sent = writer.emit(view, src, payload, dst)
+        return sent, app.execute(dst, [sent], eng.sup, stream(1, 1), Metrics())
+
+    sent, (rep, relayed) = hop(p, f0, eng._outputs[p])
+    assert isinstance(rep, Done) and relayed is sent
+    resent, (rep, _) = hop(f0, f1, relayed)
+    assert resent is sent and isinstance(rep, Reject)
+
+
+def test_an_honest_trial_scans_each_payload_once(monkeypatch):
+    scanned, checked = [], []
+    verify_items = mergesort.verify_items
+    check_run = MergesortApp._check_run
+
+    def counting_verify(*args, **kwargs):
+        scanned.append(1)
+        return verify_items(*args, **kwargs)
+
+    def recording_check(self, arr, *args, **kwargs):
+        if isinstance(arr, np.ndarray) and arr.shape[0]:
+            checked.append(arr)  # held, so no two payloads share an id
+        return check_run(self, arr, *args, **kwargs)
+
+    monkeypatch.setattr(mergesort, "verify_items", counting_verify)
+    monkeypatch.setattr(MergesortApp, "_check_run", recording_check)
+    app = make_mergesort_app(64, 4, rng=stream(0, 3))
+    out = Engine(app, Strategy(), beta=0.0, rngs=TrialRngs.from_seed(0)).run()
+    assert out.terminated
+    distinct = len({id(arr) for arr in checked})
+    assert len(checked) > distinct  # relays are handed the same payload
+    assert len(scanned) == distinct

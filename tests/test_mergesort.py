@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from supsim.adversary import builtin_strategies, make_strategy
 from supsim.mergesort import (
     MergesortApp,
+    _block_sorted,
     bit_reversal,
     build_mergesort_graph,
     in_cyclic_range,
@@ -195,6 +196,41 @@ def test_execute_rejects_tampered_runs():
     swapped = honest_out[::-1].copy()  # violates claimed sortedness
     assert isinstance(run_on(swapped), Reject)
     assert isinstance(run_on(None), Reject)
+
+
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+def test_check_run_rejects_a_duplicate_index_at_the_segment_edge(edge):
+    app = make_mergesort_app(64, 4, rng=stream(11, 3))
+    task = app.graph.initial_tasks[1]
+    run = app.source_payload(task)  # a genuine run for block 1
+    segment = app.graph.meta[task]["segment"]
+    w = run.shape[0]
+
+    def check(arr):
+        # block 1 and no quantile range: tags, segment and duplicates only
+        return app._check_run(arr, w, segment, None, 1, Metrics())
+
+    assert check(run)
+    src = int(np.flatnonzero(run[:, 1] == segment[0 if edge == "lo" else 1])[0])
+    dup = run.copy()
+    dup[(src + 1) % w] = run[src]  # a second genuine copy of the edge index
+    assert not check(dup)
+
+
+@pytest.mark.parametrize("index", ["repeated", 0, "m+1"])
+def test_target_finalize_rejects_indices_that_are_not_a_permutation(index):
+    app = make_mergesort_app(64, 4, rng=stream(12, 3))
+    out = _run(app, "honest", 12, 0.0)
+    assert out.terminated and app.target_finalize(SupervisorState()) == set()
+    k = max(app._streams, key=lambda k: app._streams[k].shape[0])
+    bad = app._streams[k].copy()
+    # relabel row 1: its value is untouched, so (value, index) order holds
+    # and only the index column is wrong
+    bad[1, 1] = {"repeated": bad[2, 1], 0: 0, "m+1": app.m + 1}[index]
+    app._streams[k] = bad
+    full = app._assemble()
+    assert full.shape[0] == app.m and _block_sorted(full[:, 0], full[:, 1], app.m)
+    assert app.target_finalize(SupervisorState()) == set(app.graph.final_tasks)
 
 
 def test_supervisor_enforces_count_conservation():

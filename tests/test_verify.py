@@ -20,7 +20,7 @@ from supsim.verify import (
     verify_items,
 )
 
-from _oracles import P, exhaustive_freivalds_rate, py_matmul_mod
+from _oracles import P, exhaustive_freivalds_rate, py_item_tags, py_matmul_mod
 
 # entries at the edges of f_matmul's 21-bit limbs, and inner dimensions at
 # the edges of its float64 chunks
@@ -208,6 +208,27 @@ def test_signed_items_roundtrip_and_tamper():
     # tags are not transferable between keys
     other = SigningKey.generate(stream(100, 3))
     assert not verify_items(vals, idxs, t0, t1, other).all()
+
+
+# 64-bit words at the edges of the item domain and of the field
+WORD_EDGES = st.sampled_from([0, 1, P, 2**63, 2**64 - 1])
+WORDS = st.one_of(WORD_EDGES, st.integers(0, 2**64 - 1))
+
+
+@given(
+    st.lists(st.tuples(WORDS, WORDS), min_size=1, max_size=40),
+    st.integers(0, 2**63 - 1),
+    st.integers(0, 2**63 - 1),
+)
+@settings(max_examples=100)
+def test_sign_items_matches_four_pass_formula(items, k0, k1):
+    key = SigningKey(k0 | 1, k1 | 1)
+    vals = _arr([v for v, _ in items])
+    idxs = _arr([i for _, i in items])
+    t0, t1 = sign_items(vals, idxs, key)
+    want = [py_item_tags(v, i, key.k0, key.k1) for v, i in items]
+    assert list(zip(t0.tolist(), t1.tolist())) == want
+    assert bool(verify_items(vals, idxs, t0, t1, key).all())
 
 
 def test_digest_rejects_wrong_key_type():
