@@ -17,12 +17,21 @@ a constant factor of the payload it forwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .metrics import Metrics
 from .protocol import Done, Reject, Silent, SupervisorState, read_only
-from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2, ceil_log2, list_length
+from .taskgraph import (
+    _GRAPH_CACHE_SIZE,
+    GraphBuilder,
+    TaskGraph,
+    TaskKind,
+    _is_pow2,
+    ceil_log2,
+    list_length,
+)
 from .verify import (
     MODULUS,
     digest,
@@ -137,8 +146,10 @@ def load_instance(path) -> MatmulInstance:
 # Graph
 
 
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def build_matmul_graph(k: int, c: float = 1.0) -> TaskGraph:
-    """The blocked-multiplication task graph for blocking factor k.
+    """The blocked-multiplication task graph for blocking factor k; one
+    shared graph per (k, c).
 
     Per stripe: a forwarding list of ceil(c*log2(k^2)) tasks, then a
     complete binary broadcast tree with k leaves.  Multiplication task

@@ -30,12 +30,21 @@ from __future__ import annotations
 
 import math
 import weakref
+from functools import lru_cache
 
 import numpy as np
 
 from .metrics import Metrics
 from .protocol import TARGET, Done, Reject, Silent, SupervisorState, read_only
-from .taskgraph import GraphBuilder, TaskGraph, TaskKind, _is_pow2, ceil_log2, list_length
+from .taskgraph import (
+    _GRAPH_CACHE_SIZE,
+    GraphBuilder,
+    TaskGraph,
+    TaskKind,
+    _is_pow2,
+    ceil_log2,
+    list_length,
+)
 from .verify import SigningKey, sign_items, verify_items
 
 
@@ -64,8 +73,10 @@ def _validate_params(m: int, n: int) -> None:
 # Graph
 
 
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def build_mergesort_graph(n: int, m: int, c: float = 1.0) -> TaskGraph:
-    """Structure only; quantile ranges are instance data and live on the app.
+    """Structure only; quantile ranges are instance data and live on the
+    app.  One shared graph per (n, m, c).
 
     Per initial block: a chain of ceil(c*log2 n) partial-sort tasks, a
     splitter, then one task per merge layer, then per final run a

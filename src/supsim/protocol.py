@@ -202,12 +202,8 @@ class Engine:
         self.view = AdversaryView(app, self.sup)
         self.terminated = False
 
-        self._is_path = graph.is_path()
-        if self._is_path:
-            order = [graph.initial_tasks[0]]
-            while graph.succs[order[-1]]:
-                order.append(graph.succs[order[-1]][0])
-            self._order = order
+        self._order = graph.path_order
+        if self._order is not None:
             self._ptr = 0
             self._delivering = False
 
@@ -390,7 +386,6 @@ class Engine:
         pos = self._ptr
         v = order[pos]
         report = self._attempt(v)
-        kind = _report_kind(report)
         if isinstance(report, Done) and self._accept_done(v, report):
             if pos == n - 1:
                 self._delivering = True
@@ -411,7 +406,7 @@ class Engine:
         return {
             "round": self.sup.round,
             "scheduled": [v],
-            "reports": [kind],
+            "reports": [_report_kind(report)],
             "f_size": len(self.sup.f),
         }
 
@@ -420,7 +415,7 @@ class Engine:
     def step_round(self) -> dict:
         if self.terminated:
             raise RuntimeError("computation already terminated")
-        trace = self._step_path() if self._is_path else self._step_dag()
+        trace = self._step_dag() if self._order is None else self._step_path()
         self.sup.round += 1
         self.metrics.rounds = self.sup.round
         if self.trace_sink is not None:

@@ -1,10 +1,18 @@
 """Leveled task DAGs and the builders of the graphs supsim runs.
 
-A task graph is immutable after construction.  Task ids are dense integers
-0..n-1 so that engine state can live in flat arrays.  Every builder places
-each task on a level as it adds it, and `GraphBuilder.freeze` accepts a
-graph only if every edge climbs exactly one level.  That one check also
-rules out cycles, since levels rise along every path.
+A task graph is immutable after construction: its fields are tuples and
+`GraphBuilder.freeze` wraps every task's metadata in a read-only mapping,
+so nothing that is handed a graph (an adversary strategy included) can
+write into it.  Task ids are dense integers 0..n-1 so that engine state
+can live in flat arrays.  Every builder places each task on a level as it
+adds it, and `freeze` accepts a graph only if every edge climbs exactly
+one level.  That one check also rules out cycles, since levels rise along
+every path.
+
+A graph depends only on its builder's arguments, never on a trial's seed,
+so `build_path` (and the app graph builders) return one shared graph per
+argument tuple, built once per process.  `random_leveled_dag` draws from
+the trial's rng and builds a fresh graph on every call.
 """
 
 from __future__ import annotations
@@ -12,7 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, lru_cache
 from math import ceil, log2
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,13 +62,19 @@ def _is_pow2(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
 
 
+# How many graphs each cached builder keeps.  A batch uses one argument
+# tuple, so a few entries cover a process that runs several batches while
+# bounding what a long test session holds.
+_GRAPH_CACHE_SIZE = 8
+
+
 @dataclass(frozen=True)
 class TaskGraph:
     kinds: tuple[TaskKind, ...]
     levels: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[int, ...], ...]
-    meta: tuple[dict | None, ...]
+    meta: tuple[MappingProxyType | None, ...]
     initial_tasks: tuple[int, ...]
     final_tasks: tuple[int, ...]
 
@@ -80,10 +96,18 @@ class TaskGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(v, w) for v in range(self.n) for w in self.succs[v]]
 
-    def is_path(self) -> bool:
-        return all(len(p) <= 1 for p in self.preds) and all(
-            len(s) <= 1 for s in self.succs
-        ) and len(self.initial_tasks) == 1 and len(self.final_tasks) == 1
+    @cached_property
+    def path_order(self) -> tuple[int, ...] | None:
+        """The tasks from the initial one to the final one if the graph is
+        a directed path, else None.  Computed once per graph."""
+        if len(self.initial_tasks) != 1 or len(self.final_tasks) != 1:
+            return None
+        if any(len(p) > 1 for p in self.preds) or any(len(s) > 1 for s in self.succs):
+            return None
+        order = [self.initial_tasks[0]]
+        while self.succs[order[-1]]:
+            order.append(self.succs[order[-1]][0])
+        return tuple(order)
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,7 +156,8 @@ class GraphBuilder:
             levels=tuple(self.levels),
             preds=tuple(tuple(p) for p in self.preds),
             succs=tuple(tuple(s) for s in self.succs),
-            meta=tuple(self.meta),
+            meta=tuple(None if m is None else MappingProxyType(dict(m))
+                       for m in self.meta),
             initial_tasks=initial,
             final_tasks=final,
         )
@@ -155,8 +180,10 @@ def _validate_path(n: int) -> None:
         raise ValueError(f"path needs at least one task, got n={n}")
 
 
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def build_path(n: int) -> TaskGraph:
-    """Directed path v_0 -> ... -> v_{n-1} of PathCompute tasks."""
+    """Directed path v_0 -> ... -> v_{n-1} of PathCompute tasks; one shared
+    graph per n."""
     _validate_path(n)
     b = GraphBuilder()
     for i in range(n):

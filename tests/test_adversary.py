@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from supsim import mergesort
+from supsim import matmul, mergesort
 from supsim.adversary import (
     AlwaysReject,
     CorruptOutput,
@@ -16,7 +16,7 @@ from supsim.adversary import (
     expected_resamples,
     make_strategy,
 )
-from supsim.harness import ExperimentConfig, _build_trial
+from supsim.harness import ExperimentConfig, _build_trial, run_trial
 from supsim.mergesort import MergesortApp, make_mergesort_app
 from supsim.metrics import Metrics
 from supsim.protocol import TARGET, Done, Engine, FlagApp, Reject, Silent, read_only
@@ -242,6 +242,32 @@ def test_in_place_writes_reach_no_payload(app, size):
         assert out.terminated, f"seed {seed} hit the round cap"
         assert oracle(out.target_output)
         assert all(np.array_equal(p, q) for p, q in zip(sources, before))
+
+
+class MetaWriter(Strategy):
+    """Test-only: writes the final tasks' role into the metadata of each
+    task it holds, through the graph its view shows."""
+
+    name = "meta_writer"
+
+    def report(self, view, task, honest_report):
+        g = view.graph
+        g.meta[task]["role"] = g.meta[g.final_tasks[0]]["role"]
+        return honest_report
+
+
+@pytest.mark.parametrize("app, size", [("matmul", dict(n=4, m=16)),
+                                       ("mergesort", dict(n=4, m=64))])
+def test_a_strategy_cannot_write_into_the_shared_graph(app, size):
+    cfg = ExperimentConfig(app=app, beta=0.1, strategy="random_mix", **size)
+    rngs, app_obj, _ = _build_trial(cfg, 0)
+    with pytest.raises(TypeError, match="mappingproxy"):
+        Engine(app_obj, MetaWriter(), beta=0.5, rngs=rngs).run()
+    # the next trial shares the graph the writer was shown
+    warm = run_trial(cfg, 1)
+    matmul.build_matmul_graph.cache_clear()
+    mergesort.build_mergesort_graph.cache_clear()
+    assert run_trial(cfg, 1) == warm
 
 
 class Rebound(np.ndarray):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supsim.harness import ExperimentConfig, run_experiment
 from supsim.matmul import build_matmul_graph
 from supsim.mergesort import build_mergesort_graph
 from supsim.taskgraph import (
@@ -49,14 +50,76 @@ def _diamond():
 def test_build_path_shape():
     g = build_path(5)
     assert g.n == 5
-    assert g.is_path()
-    assert not _diamond().is_path()
+    assert g.path_order == (0, 1, 2, 3, 4)
     assert g.span == 4
     assert g.initial_tasks == (0,)
     assert g.final_tasks == (4,)
     assert g.preds[3] == (2,)
     assert g.succs[3] == (4,)
     assert all(k is TaskKind.PATH_COMPUTE for k in g.kinds)
+
+
+def test_path_order_is_the_chain_or_none():
+    assert build_path(1).path_order == (0,)
+    assert build_path(6).path_order == tuple(range(6))
+    # a width-1 leveled DAG is a path too, and runs in path mode
+    one_wide = random_leveled_dag(1, 4, np.random.default_rng(0))
+    assert one_wide.path_order == tuple(range(5))
+    for g in (_diamond(), build_matmul_graph(2, 1.0),
+              build_mergesort_graph(4, 32, 1.0)):
+        assert g.path_order is None
+
+
+def test_builders_share_one_graph_per_argument_tuple():
+    assert build_path(7) is build_path(7)
+    assert build_path(7) is not build_path(8)
+    assert build_matmul_graph(2, 1.0) is build_matmul_graph(2, 1.0)
+    assert build_matmul_graph(2, 1.0) is not build_matmul_graph(4, 1.0)
+    assert build_matmul_graph(2, 1.0) is not build_matmul_graph(2, 2.0)
+    ms = build_mergesort_graph(4, 32, 1.0)
+    assert ms is build_mergesort_graph(4, 32, 1.0)
+    for other in ((2, 32, 1.0), (4, 64, 1.0), (4, 32, 2.0)):
+        assert ms is not build_mergesort_graph(*other)
+    # drawn from the trial's rng, so never shared
+    assert (random_leveled_dag(3, 4, np.random.default_rng(0))
+            is not random_leveled_dag(3, 4, np.random.default_rng(0)))
+
+
+def test_frozen_meta_rejects_writes():
+    for g in (build_matmul_graph(2, 1.0), build_mergesort_graph(4, 32, 1.0)):
+        for v in (0, g.n - 1):
+            with pytest.raises(TypeError, match="mappingproxy"):
+                g.meta[v]["role"] = "output"
+            with pytest.raises(TypeError, match="mappingproxy"):
+                del g.meta[v]["role"]
+    # the builder's own dict is copied, so a caller that kept it cannot
+    # reach the graph through it either
+    b = GraphBuilder()
+    kept = {"role": "x"}
+    b.add_task(TaskKind.GENERIC, level=0, meta=kept)
+    g = b.freeze()
+    kept["role"] = "y"
+    assert g.meta[0] == {"role": "x"}
+
+
+@pytest.mark.parametrize("app, size", [
+    ("path", dict(n=200)),
+    ("dag", dict(n=6, m=4)),
+    ("matmul", dict(n=4, m=16)),
+    ("mergesort", dict(n=4, m=64)),
+])
+def test_cold_and_warm_graph_caches_give_identical_rows(app, size):
+    cfg = ExperimentConfig(app=app, beta=0.1, strategy="random_mix",
+                           seeds=(0, 1, 2), **size)
+    builders = (build_path, build_matmul_graph, build_mergesort_graph)
+    for build in builders:
+        build.cache_clear()
+    cold = run_experiment(cfg).trials
+    hits = sum(build.cache_info().hits for build in builders)
+    warm = run_experiment(cfg).trials
+    assert warm == cold
+    if app != "dag":
+        assert sum(build.cache_info().hits for build in builders) > hits
 
 
 def test_builder_rejects_cycles():
