@@ -22,6 +22,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,6 +40,8 @@ from .verify import f_matmul
 
 APPS = ("path", "dag", "matmul", "mergesort")
 
+COUNTERS = tuple(Metrics().as_row())
+
 # fixed column order for rows (csv header and json field sanity): the
 # trial's identity and verdict, then the counters in `Metrics.as_row` order
 ROW_FIELDS = (
@@ -47,27 +51,39 @@ ROW_FIELDS = (
     "terminated",
     "capped",
     "output_ok",
-    *Metrics().as_row(),
+    *COUNTERS,
 )
 
-SUMMARY_FIELDS = (
-    "trials",
-    "frac_terminated",
-    "all_terminated",
-    "all_outputs_correct",
-    "mean_rounds",
-    "p99_rounds",
-    "max_rounds",
-    "mean_source_sends",
-    "max_source_sends",
-    "mean_target_receives",
-    "max_target_receives",
-    "mean_comp_total",
-    "max_comp_total",
-    "mean_comm_total",
-    "max_comm_total",
-    "max_per_task_items",
+# the summary's statistics, each `<mean|max|p99>_<counter>`; the summary
+# also holds max_per_task_items, an older name for max_per_task_max_items
+SUMMARY_STATS = (
+    "mean_rounds", "p99_rounds", "max_rounds",
+    "mean_source_sends", "max_source_sends",
+    "mean_target_receives", "max_target_receives",
+    "mean_comp_total", "max_comp_total",
+    "mean_comm_total", "max_comm_total",
 )
+
+
+def _type_ok(value, tp) -> bool:
+    """Whether a config value has the field type `tp`.  A number is a
+    finite int or float and never a bool; a tuple field takes a list or a
+    tuple."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:
+        return any(_type_ok(value, a) for a in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _type_ok(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _type_ok(k, args[0]) and _type_ok(v, args[1])
+            for k, v in value.items())
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float)) and -math.inf < value < math.inf
+    return isinstance(value, tp)
 
 
 @dataclass
@@ -91,6 +107,11 @@ class ExperimentConfig:
     ceilings: dict[str, float] = field(default_factory=dict)
 
     def validate(self) -> None:
+        hints = get_type_hints(type(self))
+        for f_ in fields(self):
+            val = getattr(self, f_.name)
+            if not _type_ok(val, hints[f_.name]):
+                raise ValueError(f"{f_.name} must be {f_.type}, got {val!r}")
         if self.app not in APPS:
             raise ValueError(f"app must be one of {APPS}, got {self.app!r}")
         check_beta(self.beta)
@@ -126,12 +147,7 @@ class ExperimentConfig:
                 )
             _validate_matmul(self.m, k)
         for name in self.ceilings:
-            stat, _, metric = name.partition("_")
-            if stat not in ("mean", "max", "p99") or not metric:
-                raise ValueError(
-                    f"ceiling {name!r} must look like mean_<field>, "
-                    f"max_<field>, or p99_<field>"
-                )
+            _stat(name, [])  # parses the name
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -139,9 +155,6 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "seeds" in data:
-            data = dict(data)
-            data["seeds"] = tuple(int(s) for s in data["seeds"])
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -253,30 +266,35 @@ def _mean(xs) -> float:
     return float(np.mean(xs)) if len(xs) else 0.0
 
 
-def _summarize(trials: list[dict]) -> dict:
+def _stat(name: str, trials: list[dict]):
+    """The statistic `<mean|max|p99>_<counter>` over the trials' rows, 0
+    without trials: mean and p99 as a float, max as an int."""
+    stat, _, counter = name.partition("_")
+    if stat not in ("mean", "max", "p99") or counter not in COUNTERS:
+        raise ValueError(
+            f"ceiling {name!r} is not <mean|max|p99>_<counter>, with counter "
+            f"one of: {', '.join(COUNTERS)}"
+        )
     if not trials:
-        return {k: 0 if k == "trials" else None for k in SUMMARY_FIELDS}
-    rounds = [t["rounds"] for t in trials]
+        return 0
+    xs = [t[counter] for t in trials]
+    if stat == "max":
+        return int(max(xs))
+    return _mean(xs) if stat == "mean" else float(np.quantile(xs, 0.99))
+
+
+def _summarize(trials: list[dict]) -> dict:
     oks = [t["output_ok"] for t in trials if t["output_ok"] is not None]
     out = {
         "trials": len(trials),
         "frac_terminated": _mean([1.0 if t["terminated"] else 0.0 for t in trials]),
         "all_terminated": all(t["terminated"] for t in trials),
         "all_outputs_correct": all(oks) if oks else None,
-        "mean_rounds": _mean(rounds),
-        "p99_rounds": float(np.quantile(rounds, 0.99)),
-        "max_rounds": int(max(rounds)),
-        "mean_source_sends": _mean([t["source_sends"] for t in trials]),
-        "max_source_sends": int(max(t["source_sends"] for t in trials)),
-        "mean_target_receives": _mean([t["target_receives"] for t in trials]),
-        "max_target_receives": int(max(t["target_receives"] for t in trials)),
-        "mean_comp_total": _mean([t["comp_total"] for t in trials]),
-        "max_comp_total": int(max(t["comp_total"] for t in trials)),
-        "mean_comm_total": _mean([t["comm_total"] for t in trials]),
-        "max_comm_total": int(max(t["comm_total"] for t in trials)),
-        "max_per_task_items": int(max(t["per_task_max_items"] for t in trials)),
+        **{name: _stat(name, trials) for name in SUMMARY_STATS},
+        "max_per_task_items": _stat("max_per_task_max_items", trials),
     }
-    return out
+    # an empty batch has a count and no statistics
+    return out if trials else {k: 0 if k == "trials" else None for k in out}
 
 
 def _verdicts(cfg: ExperimentConfig, trials: list[dict], summary: dict) -> list[dict]:
@@ -304,16 +322,7 @@ def _verdicts(cfg: ExperimentConfig, trials: list[dict], summary: dict) -> list[
             )
     for name in sorted(cfg.ceilings):
         limit = cfg.ceilings[name]
-        stat, _, metric = name.partition("_")
-        vals = [t[metric] for t in trials]
-        if not vals:
-            observed = 0.0
-        elif stat == "mean":
-            observed = _mean(vals)
-        elif stat == "max":
-            observed = float(max(vals))
-        else:
-            observed = float(np.quantile(vals, 0.99))
+        observed = float(_stat(name, trials))
         out.append(
             {
                 "name": name,
@@ -372,24 +381,18 @@ def emit(batch: Batch, fmt: str = "json") -> bytes:
         writer.writerow(ROW_FIELDS)
         for t in batch.trials:
             writer.writerow([_csv_cell(t.get(k)) for k in ROW_FIELDS])
-        srow = {k: None for k in ROW_FIELDS}
-        srow.update(
-            {
-                "seed": "summary",
-                "app": batch.config["app"],
-                "strategy": batch.config["strategy"],
-                "terminated": batch.summary["all_terminated"],
-                "capped": None,
-                "output_ok": batch.summary["all_outputs_correct"],
-                "rounds": batch.summary["mean_rounds"],
-                "source_sends": batch.summary["mean_source_sends"],
-                "target_receives": batch.summary["mean_target_receives"],
-                "per_task_max_items": batch.summary["max_per_task_items"],
-                "comp_total": batch.summary["mean_comp_total"],
-                "comm_total": batch.summary["mean_comm_total"],
-            }
-        )
-        writer.writerow([_csv_cell(srow[k]) for k in ROW_FIELDS])
+        # each counter column holds the summary's mean of it, where the
+        # summary has one, and per_task_max_items its max
+        srow = {
+            "seed": "summary",
+            "app": batch.config["app"],
+            "strategy": batch.config["strategy"],
+            "terminated": batch.summary["all_terminated"],
+            "output_ok": batch.summary["all_outputs_correct"],
+            **{col: batch.summary.get(f"mean_{col}") for col in COUNTERS},
+            "per_task_max_items": batch.summary["max_per_task_items"],
+        }
+        writer.writerow([_csv_cell(srow.get(k)) for k in ROW_FIELDS])
         return buf.getvalue().encode()
     raise ValueError(f"unknown format {fmt!r} (known: json, csv)")
 
@@ -445,16 +448,17 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
-    for key in ("app", "beta", "n", "m", "tau", "c", "strategy", "round_cap",
-                "target_always_rejects", "input_path"):
-        val = getattr(args, key)
-        if val is not None:
-            data[key] = val
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
+    flags = dict(vars(args))
     if args.seeds is not None:
-        data["seeds"] = _parse_seeds(args.seeds)
+        flags["seeds"] = _parse_seeds(args.seeds)
     elif args.trials is not None:
-        data["seeds"] = tuple(range(args.trials))
+        flags["seeds"] = tuple(range(args.trials))
+    for f_ in fields(ExperimentConfig):
+        if flags.get(f_.name) is not None:
+            data[f_.name] = flags[f_.name]
     return ExperimentConfig.from_dict(data)
 
 
@@ -463,7 +467,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         instance = load_input(cfg)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        # an unwritable output path fails here, not after the batch
+        for path in (args.out, args.trace, args.dump_graph):
+            if path:
+                open(path, "ab").close()
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

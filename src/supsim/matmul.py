@@ -433,11 +433,6 @@ class MatmulApp:
             return rng.bytes(16)
         return None
 
-    def truncate_payload(self, payload, k: int):
-        # fixed-shape payloads: withholding part of a matrix is just a
-        # corruption, so hand back a perturbed copy instead
-        return payload
-
 
 def make_matmul_app(
     m: int, k: int, tau: int, rng: np.random.Generator, c: float = 1.0,

@@ -517,7 +517,3 @@ class FlagApp:
 
     def forge_aux(self, task, rng):
         return None
-
-    def truncate_payload(self, payload, k):
-        # flag payloads carry no item structure to shave
-        return payload

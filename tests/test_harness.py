@@ -39,6 +39,8 @@ def test_config_validation_messages():
         ExperimentConfig(app="matmul", n=16, tau=2, beta=0.1).validate()
     with pytest.raises(ValueError, match="ceiling"):
         ExperimentConfig(ceilings={"median_rounds": 5}).validate()
+    with pytest.raises(ValueError, match="seeds must be"):
+        ExperimentConfig(seeds=range(3)).validate()
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"app": "path", "banana": 1})
 
@@ -159,31 +161,64 @@ def test_cli_bad_config_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "args, text, names",
+    "args, config, text, names",
     [
-        (["--app", "path", "--n", "0"], None, "n=0"),
-        (["--app", "dag", "--m", "0"], None, "width=0"),
-        (["--app", "matmul", "--m", "8", "--n", "16"], None, "m=8 too small"),
-        (["--app", "mergesort", "--n", "3"], None, "got 3"),
-        (["--app", "mergesort"], "-5\n", "input.txt:1"),
-        (["--app", "matmul", "--n", "16"], "-5\n", "not a matrix-pair file"),
-        (["--app", "matmul", "--n", "16", "--m", "16"], (16, 2), "n=k^2=4"),
-        (["--app", "matmul", "--n", "4", "--m", "32"], (16, 2), "m=16, but"),
-        (["--app", "mergesort", "--n", "4", "--m", "1024"], "7\n" * 16,
+        (["--app", "path", "--n", "0"], None, None, "n=0"),
+        (["--app", "dag", "--m", "0"], None, None, "width=0"),
+        (["--app", "matmul", "--m", "8", "--n", "16"], None, None, "m=8 too small"),
+        (["--app", "mergesort", "--n", "3"], None, None, "got 3"),
+        (["--app", "mergesort"], None, "-5\n", "input.txt:1"),
+        (["--app", "matmul", "--n", "16"], None, "-5\n", "not a matrix-pair file"),
+        (["--app", "matmul", "--n", "16", "--m", "16"], None, (16, 2), "n=k^2=4"),
+        (["--app", "matmul", "--n", "4", "--m", "32"], None, (16, 2), "m=16, but"),
+        (["--app", "mergesort", "--n", "4", "--m", "1024"], None, "7\n" * 16,
          "holds 16 values, but m=1024"),
+        ([], {"seeds": "12"}, None, "seeds must be"),
+        ([], {"seeds": [1.7]}, None, "seeds must be"),
+        ([], {"seeds": 5}, None, "seeds must be"),
+        ([], {"round_cap": 2.5}, None, "round_cap must be"),
+        ([], {"beta": "0.1"}, None, "beta must be"),
+        ([], {"n": 4.5}, None, "n must be"),
+        ([], {"n": True}, None, "n must be"),
+        ([], [1, 2], None, "must hold a JSON object"),
+        ([], {"ceilings": {"mean_bogus": 3}}, None, "'mean_bogus'"),
+        ([], {"ceilings": {"max_per_task_items": 3}}, None, "'max_per_task_items'"),
+        ([], {"ceilings": {"mean_output_ok": 1}}, None, "'mean_output_ok'"),
+        ([], {"ceilings": {"max_rounds": float("nan")}}, None, "ceilings must be"),
+        (["--app", "mergesort", "--n", "4"], {"c": float("nan")}, None,
+         "c must be"),
+        (["--app", "matmul", "--n", "4", "--m", "16"], {"c": float("inf")}, None,
+         "c must be"),
+        (["--out", "missing/o.json"], None, None, "missing/o.json"),
+        (["--trace", "missing/t.jsonl"], None, None, "missing/t.jsonl"),
+        (["--dump-graph", "missing/g.json"], None, None, "missing/g.json"),
     ],
     ids=["path-n0", "dag-m0", "matmul-m8-n16", "mergesort-n3", "negative-input",
          "matmul-bad-input", "matmul-input-k", "matmul-input-m",
-         "mergesort-input-m"],
+         "mergesort-input-m", "seeds-str", "seeds-float", "seeds-int",
+         "round_cap-float", "beta-str", "n-float", "n-bool", "config-not-object",
+         "ceiling-unknown", "ceiling-summary-key", "ceiling-not-counter",
+         "ceiling-nan", "c-nan", "c-inf",
+         "out-unwritable", "trace-unwritable", "dump-graph-unwritable"],
 )
-def test_cli_shape_and_input_errors_exit_2(tmp_path, capsys, args, text, names):
+def test_cli_shape_and_input_errors_exit_2(tmp_path, monkeypatch, capsys, args,
+                                           config, text, names):
+    # relative paths resolve in tmp_path, which has no "missing" directory
+    monkeypatch.chdir(tmp_path)
     if text is not None:
-        path = tmp_path / "input.txt"
-        _write_input(path, text)
-        args = args + ["--input", str(path)]
-    assert main(args + ["--trials", "1"]) == 2
+        _write_input(tmp_path / "input.txt", text)
+        args = args + ["--input", "input.txt"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = args + ["--config", "cfg.json"]
+
+    def no_trial(*a, **kw):
+        raise AssertionError("a trial was built")
+
+    monkeypatch.setattr(harness, "_build_trial", no_trial)
+    assert main(args) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and names in err
+    assert err.startswith("config error:") and names in err
 
 
 def _write_input(path, text):
